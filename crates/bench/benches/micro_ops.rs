@@ -16,8 +16,9 @@ use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
 };
 use ft_tensor::{
-    matmul_into, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt, sddmm_nt_into_rt, spmm_into,
-    spmm_into_rt, ConvGeom, Tensor,
+    col2im_batched, im2col_batched_rt, matmul_into, matmul_into_rt, matmul_nt_into_rt,
+    matmul_tn_into_rt, pad_batch, sddmm_nt_into_rt, spmm_into, spmm_into_rt, ColTable, ConvGeom,
+    Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -775,6 +776,178 @@ fn train_step_records(report: &mut BenchReport) {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Retired run-walking im2col / col2im (replica)
+// ---------------------------------------------------------------------------
+
+/// Writes one sample's `col_cols` span of tap `(kh, kw)` of `plane` into
+/// `dst` the way the retired run-walking kernel did for stride 1 (the only
+/// stride the benched geometries use): each output row as a zero head, one
+/// contiguous copy and a zero tail. The `im2col_batched` / `col2im_batched`
+/// floor in `bench_check` measures the table-driven kernels against this
+/// replica.
+fn legacy_fill_tap(
+    plane: &[f32],
+    g: &ConvGeom,
+    (oh, ow): (usize, usize),
+    (kh, kw): (usize, usize),
+    dst: &mut [f32],
+) {
+    let lead = g.pad.saturating_sub(kw).min(ow);
+    let hi = (g.in_w + g.pad).saturating_sub(kw).min(ow);
+    let ix0 = (kw + lead).saturating_sub(g.pad);
+    for oy in 0..oh {
+        let row = &mut dst[oy * ow..(oy + 1) * ow];
+        let iy = (oy + kh) as isize - g.pad as isize;
+        if iy < 0 || iy as usize >= g.in_h {
+            row.fill(0.0);
+            continue;
+        }
+        row[..lead].fill(0.0);
+        if hi > lead {
+            row[lead..hi].copy_from_slice(&plane[iy as usize * g.in_w + ix0..][..hi - lead]);
+        }
+        row[hi..].fill(0.0);
+    }
+}
+
+/// The retired batched im2col: every `(tap row, sample)` pair walks its
+/// runs straight out of the unpadded batch.
+fn legacy_im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &mut [f32]) {
+    assert_eq!(g.stride, 1, "the replica covers stride 1 only");
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let cc = oh * ow;
+    let plane_len = g.in_h * g.in_w;
+    let taps = g.kernel * g.kernel;
+    for (row, dst_row) in out.chunks_exact_mut(n * cc).enumerate() {
+        let (c, kh, kw) = (row / taps, (row % taps) / g.kernel, row % g.kernel);
+        for (i, dst) in dst_row.chunks_exact_mut(cc).enumerate() {
+            let plane = &x[(i * g.in_c + c) * plane_len..][..plane_len];
+            legacy_fill_tap(plane, g, (oh, ow), (kh, kw), dst);
+        }
+    }
+}
+
+/// The retired col2im: the batch gradient zeroed, then one strided
+/// `col2im_ld` fold per sample, accumulating stride-1 output rows as runs
+/// (stride 1 only, like [`legacy_fill_tap`]).
+fn legacy_col2im_batched(dcol: &[f32], n: usize, g: &ConvGeom, gx: &mut [f32]) {
+    assert_eq!(g.stride, 1, "the replica covers stride 1 only");
+    gx.fill(0.0);
+    let (oh, ow, cc) = (g.out_h(), g.out_w(), g.col_cols());
+    let sample = g.in_c * g.in_h * g.in_w;
+    let ld = n * cc;
+    for (i, out) in gx.chunks_exact_mut(sample).enumerate() {
+        let col = &dcol[i * cc..];
+        let mut row = 0usize;
+        for c in 0..g.in_c {
+            let base = c * g.in_h * g.in_w;
+            for kh in 0..g.kernel {
+                for kw in 0..g.kernel {
+                    let src = &col[row * ld..row * ld + cc];
+                    let lead = g.pad.saturating_sub(kw).min(ow);
+                    let hi = (g.in_w + g.pad).saturating_sub(kw).min(ow);
+                    let ix0 = (kw + lead).saturating_sub(g.pad);
+                    for oy in 0..oh {
+                        let iy = (oy + kh) as isize - g.pad as isize;
+                        if iy < 0 || iy as usize >= g.in_h || hi <= lead {
+                            continue;
+                        }
+                        let dst = &mut out[base + iy as usize * g.in_w + ix0..][..hi - lead];
+                        for (d, &v) in dst.iter_mut().zip(&src[oy * ow + lead..oy * ow + hi]) {
+                            *d += v;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Records `im2col_batched` / `col2im_batched` and their `_legacy` replicas
+/// at the four 3×3 stride-1 geometries of lab-scale ResNet18 (width 0.125,
+/// 8 px input), batch 32, on one thread: median ns per call, with the
+/// column-matrix elements per call as the "flops" (so `gflops` reads as
+/// G elements / s). Each new call includes the padded copy the layer pays
+/// per batch; the gather table is built once, as a layer builds it once.
+/// The two kernels alternate with their replicas call by call, so host
+/// speed drift hits both equally; `bench_check` gates the summed ratio.
+fn im2col_records(report: &mut BenchReport) {
+    let n = 32usize;
+    let rt = Runtime::sequential();
+    let reps = if ft_bench::quick_mode() { 41usize } else { 201 };
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+        v[v.len() / 2]
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    for (in_c, side) in [(8usize, 8usize), (16, 4), (32, 2), (64, 1)] {
+        let g = ConvGeom {
+            in_c,
+            in_h: side,
+            in_w: side,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let (cr, ncc) = (g.col_rows(), n * g.col_cols());
+        let x: Vec<f32> = (0..n * in_c * side * side)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let dcol: Vec<f32> = (0..cr * ncc).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut table = ColTable::default();
+        table.fit(&g, n);
+        let (mut xp, mut acc) = (Vec::new(), Vec::new());
+        let (mut cols, mut cols_legacy) = (vec![0.0f32; cr * ncc], vec![0.0f32; cr * ncc]);
+        let (mut gx, mut gx_legacy) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+        let im2col = |xp: &mut Vec<f32>, cols: &mut [f32]| {
+            pad_batch(&x, n, &g, xp);
+            im2col_batched_rt(&rt, xp, n, &g, &table, cols);
+        };
+        im2col(&mut xp, &mut cols);
+        legacy_im2col_batched(&x, n, &g, &mut cols_legacy);
+        assert_eq!(cols, cols_legacy, "im2col replica diverged at {g:?}");
+        col2im_batched(&dcol, n, &g, &table, &mut acc, &mut gx);
+        legacy_col2im_batched(&dcol, n, &g, &mut gx_legacy);
+        assert_eq!(gx, gx_legacy, "col2im replica diverged at {g:?}");
+        let time = |f: &mut dyn FnMut()| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        };
+        let mut ns = [(); 4].map(|_| Vec::with_capacity(reps));
+        for _ in 0..reps {
+            ns[0].push(time(&mut || im2col(&mut xp, &mut cols)));
+            ns[1].push(time(&mut || {
+                legacy_im2col_batched(&x, n, &g, &mut cols_legacy)
+            }));
+            ns[2].push(time(&mut || {
+                col2im_batched(&dcol, n, &g, &table, &mut acc, &mut gx)
+            }));
+            ns[3].push(time(&mut || {
+                legacy_col2im_batched(&dcol, n, &g, &mut gx_legacy)
+            }));
+        }
+        black_box((&cols, &cols_legacy, &gx, &gx_legacy));
+        let shape = format!("b{n}x{in_c}x{side}x{side}");
+        let ops = [
+            "im2col_batched",
+            "im2col_batched_legacy",
+            "col2im_batched",
+            "col2im_batched_legacy",
+        ];
+        for (op, times) in ops.iter().zip(ns.iter_mut()) {
+            report.push(op, &shape, 1.0, 1, 1, median(times), (cr * ncc) as f64);
+        }
+        let r = &report.records[report.records.len() - 4..];
+        println!(
+            "im2col/col2im {shape}: {:.0} / {:.0} ns vs legacy {:.0} / {:.0} ns",
+            r[0].ns_per_iter, r[2].ns_per_iter, r[1].ns_per_iter, r[3].ns_per_iter
+        );
+    }
+}
+
 /// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul,
 /// CSR spmm, and sddmm at 1 / 2 / 4 worker threads, with warmup strictly
 /// separated from measurement (see `ft_bench::trajectory`). The table rows
@@ -867,6 +1040,7 @@ fn trajectory_benches(_c: &mut Criterion) {
     }
 
     train_step_records(&mut report);
+    im2col_records(&mut report);
 
     let path = report.write();
     println!(

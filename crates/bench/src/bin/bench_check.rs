@@ -31,6 +31,14 @@
 //! same run (the committed baseline carries the same record so the floor
 //! stays documented). Missing records are hard failures.
 //!
+//! A fifth family gates the table-driven im2col / col2im kernels from
+//! `BENCH_micro_ops.json`: at each of the four lab ResNet18 3×3 geometries
+//! (`IM2COL_SHAPES`) the report must carry `im2col_batched` and
+//! `col2im_batched` records plus their `_legacy` replicas of the retired
+//! run-walking kernels, measured interleaved in the same run, and the
+//! summed single-thread time of the replicas must be at least 2.0x the
+//! summed time of the new kernels. Missing records are hard failures.
+//!
 //! If *zero* gates end up evaluated the check fails loudly: a gate file
 //! that checks nothing is indistinguishable from a regression.
 //!
@@ -46,6 +54,14 @@ use std::process::ExitCode;
 
 /// Minimum square dimension a "dense matmul ≥ 256²" record must have.
 const MIN_GATED_DIM: usize = 256;
+
+/// The lab ResNet18 3×3 stride-1 geometries (`b<n>x<c>x<h>x<w>`) the
+/// im2col / col2im floor sums over.
+const IM2COL_SHAPES: [&str; 4] = ["b32x8x8x8", "b32x16x4x4", "b32x32x2x2", "b32x64x1x1"];
+
+/// Required summed speedup of the table-driven im2col + col2im over the
+/// in-run replicas of the retired run-walking kernels.
+const IM2COL_MIN_RATIO: f64 = 2.0;
 
 /// One parallel-speedup requirement against the report.
 struct SpeedupGate {
@@ -366,6 +382,56 @@ fn main() -> ExitCode {
                 eprintln!("  FAIL train_step: {missing} — this gate cannot be skipped");
                 failed = true;
             }
+        }
+    }
+
+    // -- Table-driven im2col / col2im floor (summed over lab geometries) --
+    {
+        let (mut new_ns, mut legacy_ns) = (0.0f64, 0.0f64);
+        let mut missing = Vec::new();
+        for shape in IM2COL_SHAPES {
+            for op in ["im2col_batched", "col2im_batched"] {
+                let legacy_op = format!("{op}_legacy");
+                match (
+                    find(&report.records, op, shape, 1.0, 1),
+                    find(&report.records, &legacy_op, shape, 1.0, 1),
+                ) {
+                    (Some(cur), Some(legacy)) => {
+                        new_ns += cur.ns_per_iter;
+                        legacy_ns += legacy.ns_per_iter;
+                        println!(
+                            "       {op} {shape} @1t: {:.0} ns vs legacy {:.0} ns ({:.2}x)",
+                            cur.ns_per_iter,
+                            legacy.ns_per_iter,
+                            legacy.ns_per_iter / cur.ns_per_iter.max(1.0)
+                        );
+                    }
+                    (cur, _) => missing.push(format!(
+                        "{} {shape}",
+                        if cur.is_none() { op } else { &legacy_op }
+                    )),
+                }
+            }
+        }
+        if missing.is_empty() {
+            evaluated += 1;
+            let ratio = legacy_ns / new_ns.max(1.0);
+            let ok = ratio >= IM2COL_MIN_RATIO;
+            if !ok {
+                failed = true;
+            }
+            println!(
+                "  {:>4} im2col+col2im summed over {} geometries @1t: {ratio:.2}x vs in-run \
+                 legacy replicas (need >= {IM2COL_MIN_RATIO:.1}x)",
+                if ok { "ok" } else { "FAIL" },
+                IM2COL_SHAPES.len()
+            );
+        } else {
+            eprintln!(
+                "  FAIL im2col+col2im: record(s) missing from report: {} — this gate cannot be skipped",
+                missing.join(", ")
+            );
+            failed = true;
         }
     }
 

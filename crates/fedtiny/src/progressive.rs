@@ -5,12 +5,12 @@ use ft_fl::ExperimentEnv;
 use ft_metrics::{densities_from_mask, forward_flops, layer_forward_flops};
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{prunable_param_indices, LayerArch, Mode, Model};
-use ft_sparse::{Mask, PruneSchedule, TopKBuffer};
+use ft_sparse::{top_k_sorted, Mask, PruneSchedule, TopKBuffer};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How much of the model one adjustment round touches (Table III).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -193,7 +193,7 @@ pub fn progressive_adjust(
     let weights = env.device_weights();
     let prunable_pos = prunable_param_indices(global);
     for (ui, &(l, a)) in counts.iter().enumerate() {
-        let mut agg: HashMap<usize, f64> = HashMap::new();
+        let mut agg: BTreeMap<usize, f64> = BTreeMap::new();
         for (k, grads) in device_grads.iter().enumerate() {
             for &(i, g) in &grads[ui] {
                 *agg.entry(i).or_insert(0.0) += weights[k] * g as f64;
@@ -201,12 +201,12 @@ pub fn progressive_adjust(
             report.comm_bytes += grads[ui].len() as f64 * 8.0;
             report.payload_bytes += ft_sparse::topk_pairs_encoded_len(grads[ui].len()) as f64;
         }
-        // Grow: top-a pruned indices by |aggregated gradient|.
-        let mut grow_buf = TopKBuffer::new(a);
-        for (&i, &g) in &agg {
-            grow_buf.push(i, g as f32);
-        }
-        let grow: Vec<usize> = grow_buf.into_sorted().into_iter().map(|(i, _)| i).collect();
+        // Grow: top-a pruned indices by |aggregated gradient|, ties by
+        // ascending index.
+        let grow: Vec<usize> = top_k_sorted(agg.iter().map(|(&i, &g)| (i, g as f32)), a)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
 
         // Drop: a surviving coordinates with smallest |weight|, excluding
         // the just-grown ones (they are zero and would be dropped at once).

@@ -10,10 +10,10 @@ use ft_runtime::Runtime;
 use ft_sparse::{BsrMatrix, CsrMatrix};
 use ft_tensor::{
     avg_pool_global_backward_into, avg_pool_global_into_rt, bsr_dsmm_nt_into_rt, bsr_spmm_into_rt,
-    col2im_ld, conv2d_fused_into_rt, dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt,
+    col2im_batched, conv2d_fused_into_rt, dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt,
     kaiming_normal, matmul_into_rt, matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt,
-    max_pool2x2_backward_into, max_pool2x2_into_rt, sddmm_nt_seg_into_rt, sddmm_tn_into_rt,
-    spmm_into_rt, spmm_tn_into_rt, ConvGeom, Tensor,
+    max_pool2x2_backward_into, max_pool2x2_into_rt, pad_batch, sddmm_nt_seg_into_rt,
+    sddmm_tn_into_rt, spmm_into_rt, spmm_tn_into_rt, ColTable, ConvGeom, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -167,18 +167,24 @@ pub struct Conv2d {
 #[derive(Clone, Debug, Default)]
 struct ConvScratch {
     /// Batched column matrix `[cr, n·cc]`; sample `i` occupies columns
-    /// `i·cc..(i+1)·cc`. Materialized by the sparse forward, rebuilt from
-    /// `x_cache` in the dense backward (the dense forward packs B-panels
-    /// straight out of the image and never materializes it).
+    /// `i·cc..(i+1)·cc`. Materialized by the training and sparse forwards;
+    /// after an eval forward (which packs B-panels straight out of `xpad`)
+    /// a backward call rebuilds it from `xpad`. Once backward's dW kernel
+    /// has read it, it holds the column-space input gradient.
     cols_b: Tensor,
     /// Forward output staging `[oc, n·cc]` before the NCHW scatter.
     out_b: Tensor,
     /// Backward `dY` staging `[oc, n·cc]` (repacked from NCHW).
     gob: Tensor,
-    /// Column-space input gradient `[cr, n·cc]`.
-    dcol_b: Tensor,
-    /// Input copy kept by the dense forward so backward can rebuild columns.
-    x_cache: Tensor,
+    /// im2col gather table; clones of the layer share its offsets.
+    table: ColTable,
+    /// Zero-padded batch `[n, in_c, hp, wp]`. Forward: the input the
+    /// columns are gathered from (an eval forward keeps it, at any `pad`,
+    /// so a backward call can rebuild the columns; a training forward with
+    /// `pad == 0` gathers straight from its input instead). Backward: once
+    /// the columns are no longer needed, the input-gradient accumulator of
+    /// `col2im_batched`.
+    xpad: Vec<f32>,
     /// Sparse-path `dW` values at the CSR structure.
     grad_w_vals: Vec<f32>,
 }
@@ -314,10 +320,30 @@ impl Conv2d {
         out.resize_for_overwrite(&[n, self.out_c, oh, ow]);
         let scratch = &mut self.scratch;
         scratch.out_b.resize_zeroed(&[self.out_c, n * cc]);
-        let cols_valid;
-        if sparse {
+        scratch.table.fit(&geom, n);
+        let cols_valid = sparse || matches!(mode, Mode::Train);
+        if cols_valid {
+            // Columns are gathered from the zero-padded copy of the batch —
+            // or, without padding, from the batch itself.
+            let src = if geom.pad == 0 {
+                x.data()
+            } else {
+                pad_batch(x.data(), n, &geom, &mut scratch.xpad);
+                &scratch.xpad
+            };
             scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
-            im2col_batched_rt(&self.runtime, x.data(), n, &geom, scratch.cols_b.data_mut());
+            im2col_batched_rt(
+                &self.runtime,
+                src,
+                n,
+                &geom,
+                &scratch.table,
+                scratch.cols_b.data_mut(),
+            );
+        } else {
+            pad_batch(x.data(), n, &geom, &mut scratch.xpad);
+        }
+        if sparse {
             let plan = self.plan.as_ref().expect("sparse path always has a plan");
             match &plan.bsr {
                 Some(bsr) => bsr_spmm_into_rt(
@@ -333,15 +359,12 @@ impl Conv2d {
                     &mut scratch.out_b,
                 ),
             }
-            cols_valid = true;
-        } else if matches!(mode, Mode::Train) {
+        } else if cols_valid {
             // Training forward materializes the column matrix up front — the
             // backward dW GEMM needs it regardless — and runs a plain batched
             // GEMM over it. The fused pack reads the same values in the same
             // kernel order, so this is bit-identical while letting backward
             // skip a full im2col rebuild.
-            scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
-            im2col_batched_rt(&self.runtime, x.data(), n, &geom, scratch.cols_b.data_mut());
             self.w.data.reshape_in_place(&[self.out_c, cr]);
             matmul_into_rt(
                 &self.runtime,
@@ -352,13 +375,10 @@ impl Conv2d {
             self.w
                 .data
                 .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-            cols_valid = true;
         } else {
             // Eval forward: implicit GEMM packs B-panels straight out of the
-            // image, never materializing the column matrix. Keep the input so
-            // a backward call could still rebuild it (im2col is a pure
-            // function of the input).
-            scratch.x_cache.copy_from(x);
+            // padded batch, never materializing the column matrix. `xpad`
+            // stays valid so a backward call could still rebuild it.
             // Zero-copy `[oc, cr]` view of the weight: reshape in place for
             // the kernel call and restore after, instead of copying the
             // whole buffer through `reshaped`.
@@ -366,15 +386,15 @@ impl Conv2d {
             conv2d_fused_into_rt(
                 &self.runtime,
                 &self.w.data,
-                x.data(),
+                &scratch.xpad,
                 n,
                 &geom,
+                &scratch.table,
                 &mut scratch.out_b,
             );
             self.w
                 .data
                 .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-            cols_valid = false;
         }
         // Scatter [oc, n·cc] back to NCHW [n, oc, oh, ow].
         let ob = scratch.out_b.data();
@@ -470,20 +490,18 @@ impl Conv2d {
         }
         if !meta.cols_valid {
             // The dense forward went through the fused pack; rebuild the
-            // column matrix from the cached input for the dW GEMM.
+            // column matrix from the padded input for the dW GEMM.
             scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
             im2col_batched_rt(
                 &self.runtime,
-                scratch.x_cache.data(),
+                &scratch.xpad,
                 n,
                 &geom,
+                &scratch.table,
                 scratch.cols_b.data_mut(),
             );
         }
         let want_gx = gx.is_some();
-        if want_gx {
-            scratch.dcol_b.resize_zeroed(&[cr, n * cc]);
-        }
         match sparse_plan {
             Some(plan) => {
                 // dW (mask-alive coordinates only) += dY · colᵀ sampled at
@@ -499,12 +517,14 @@ impl Conv2d {
                     &mut scratch.grad_w_vals,
                 );
                 if want_gx {
-                    // dCol = Wᵀ · dY through the sparse kernel.
+                    // dCol = Wᵀ · dY through the sparse kernel, into the
+                    // column buffer dW no longer needs.
+                    scratch.cols_b.resize_zeroed(&[cr, n * cc]);
                     spmm_tn_into_rt(
                         &self.runtime,
                         plan.csr.view(),
                         &scratch.gob,
-                        &mut scratch.dcol_b,
+                        &mut scratch.cols_b,
                     );
                 }
                 plan.csr
@@ -527,13 +547,15 @@ impl Conv2d {
                     .grad
                     .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
                 if want_gx {
-                    // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, n·cc] → [cr, n·cc]).
+                    // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, n·cc] → [cr, n·cc]),
+                    // into the column buffer dW no longer needs.
+                    scratch.cols_b.resize_zeroed(&[cr, n * cc]);
                     self.w.data.reshape_in_place(&[self.out_c, cr]);
                     matmul_tn_into_rt(
                         &self.runtime,
                         &self.w.data,
                         &scratch.gob,
-                        &mut scratch.dcol_b,
+                        &mut scratch.cols_b,
                     );
                     self.w.data.reshape_in_place(&[
                         self.out_c,
@@ -547,18 +569,15 @@ impl Conv2d {
             }
         }
         let Some(gx) = gx else { return };
-        gx.resize_zeroed(&[n, geom.in_c, geom.in_h, geom.in_w]);
-        let sample = geom.in_c * geom.in_h * geom.in_w;
-        let dcol = scratch.dcol_b.data();
-        let gxd = gx.data_mut();
-        for i in 0..n {
-            col2im_ld(
-                &dcol[i * cc..],
-                n * cc,
-                &geom,
-                &mut gxd[i * sample..(i + 1) * sample],
-            );
-        }
+        gx.resize_for_overwrite(&[n, geom.in_c, geom.in_h, geom.in_w]);
+        col2im_batched(
+            scratch.cols_b.data(),
+            n,
+            &geom,
+            &scratch.table,
+            &mut scratch.xpad,
+            gx.data_mut(),
+        );
     }
 }
 

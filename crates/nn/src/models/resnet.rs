@@ -344,6 +344,18 @@ impl ResNet18 {
             blocks: stage_groups,
         }
     }
+
+    /// Backward through every layer above the stem conv, returning the
+    /// gradient at the stem conv's output.
+    fn backward_to_stem(&mut self, grad_logits: &Tensor) -> Tensor {
+        let mut g = self.fc.backward(grad_logits);
+        g = self.gap.backward(&g);
+        for block in self.stages.iter_mut().rev() {
+            g = block.backward(&g);
+        }
+        g = self.stem_relu.backward(&g);
+        self.stem_bn.backward(&g)
+    }
 }
 
 impl Model for ResNet18 {
@@ -359,14 +371,16 @@ impl Model for ResNet18 {
     }
 
     fn backward(&mut self, grad_logits: &Tensor) {
-        let mut g = self.fc.backward(grad_logits);
-        g = self.gap.backward(&g);
-        for block in self.stages.iter_mut().rev() {
-            g = block.backward(&g);
-        }
-        g = self.stem_relu.backward(&g);
-        g = self.stem_bn.backward(&g);
+        let g = self.backward_to_stem(grad_logits);
         let _ = self.stem_conv.backward(&g);
+    }
+
+    /// The stem conv's input gradient is dead — no layer sits before it —
+    /// so its dCol GEMM and col2im are skipped. Parameter gradients are
+    /// identical to [`Model::backward`].
+    fn backward_scratch(&mut self, grad_logits: &Tensor) {
+        let g = self.backward_to_stem(grad_logits);
+        self.stem_conv.backward_params_only(&g);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -540,5 +554,37 @@ mod tests {
             m.stem_conv.w.grad.max_abs() > 0.0,
             "residual paths must reach the stem"
         );
+    }
+
+    /// `backward_scratch` skips only the stem conv's input gradient: every
+    /// parameter gradient is bit-identical to `backward`'s, and the skipped
+    /// dCol pass shows up as fewer realized FLOPs.
+    #[test]
+    fn backward_scratch_matches_backward_params_exactly() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let x = ft_tensor::normal(&mut rng, &[3, 3, 8, 8], 0.0, 1.0);
+        let grads = |m: &mut ResNet18, scratch: bool| {
+            m.reset_realized_flops();
+            let y = m.forward(&x, Mode::Train);
+            let g = Tensor::from_vec(
+                (0..y.numel()).map(|i| (i as f32).sin()).collect(),
+                y.shape(),
+            );
+            if scratch {
+                m.backward_scratch(&g);
+            } else {
+                m.backward(&g);
+            }
+            let bits: Vec<Vec<u32>> = m
+                .params()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (bits, m.realized_flops())
+        };
+        let (full, full_flops) = grads(&mut tiny_resnet(), false);
+        let (lean, lean_flops) = grads(&mut tiny_resnet(), true);
+        assert_eq!(full, lean);
+        assert!(lean_flops < full_flops, "{lean_flops} vs {full_flops}");
     }
 }

@@ -12,11 +12,13 @@ use ft_fl::{run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResul
 use ft_metrics::{densities_from_mask, device_memory_bytes, training_flops, ExtraMemory};
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{apply_mask, prunable_param_indices, sparse_layout, Mode, Model};
-use ft_sparse::{random_mask, uniform_density_vector, Mask, PruneSchedule, TopKBuffer};
+use ft_sparse::{
+    random_mask, top_k_sorted, uniform_density_vector, Mask, PruneSchedule, TopKBuffer,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Extra local epochs spent recovering grown weights per adjustment (the
 /// paper configures 3 adjustment + 2 fine-tuning epochs).
@@ -102,7 +104,7 @@ fn adjust_entire_model(
         return;
     }
     let weights = env.device_weights();
-    let mut agg: Vec<HashMap<usize, f64>> = vec![HashMap::new(); counts.len()];
+    let mut agg: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); counts.len()];
     for (k, data) in env.parts.iter().enumerate() {
         let mut model = global.clone_model();
         // Grow scoring reads gradients of pruned coordinates; the sparse
@@ -139,11 +141,11 @@ fn adjust_entire_model(
     }
     let pos = prunable_param_indices(global);
     for (ui, &(l, a)) in counts.iter().enumerate() {
-        let mut grow_buf = TopKBuffer::new(a);
-        for (&i, &g) in &agg[ui] {
-            grow_buf.push(i, g as f32);
-        }
-        let grow: Vec<usize> = grow_buf.into_sorted().into_iter().map(|(i, _)| i).collect();
+        // Ties by ascending index.
+        let grow: Vec<usize> = top_k_sorted(agg[ui].iter().map(|(&i, &g)| (i, g as f32)), a)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
         let wdata = global.params()[pos[l]].data.data().to_vec();
         let mut alive = mask.alive_indices(l);
         alive.sort_by(|&x, &y| {

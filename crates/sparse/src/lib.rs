@@ -56,4 +56,4 @@ pub use prune::{
     uniform_density_vector,
 };
 pub use schedule::{cosine_prune_count, PruneSchedule};
-pub use topk::TopKBuffer;
+pub use topk::{top_k_sorted, TopKBuffer};

@@ -83,12 +83,7 @@ impl TopKBuffer {
     /// `|value|` (ties broken by ascending index for determinism).
     pub fn into_sorted(self) -> Vec<(usize, f32)> {
         let mut v = self.heap;
-        v.sort_by(|a, b| {
-            b.1.abs()
-                .partial_cmp(&a.1.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
+        v.sort_by(by_magnitude_then_index);
         v
     }
 
@@ -127,6 +122,28 @@ impl TopKBuffer {
             i = smallest;
         }
     }
+}
+
+/// Descending `|value|`, ties by ascending index.
+fn by_magnitude_then_index(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+    b.1.abs()
+        .partial_cmp(&a.1.abs())
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.0.cmp(&b.0))
+}
+
+/// The `k` pairs with the largest `|value|`, in the order
+/// [`TopKBuffer::into_sorted`] documents: descending `|value|`, ties broken
+/// by ascending index. Unlike the streaming buffer — which keeps whichever
+/// tied entry arrived first and evicts an arbitrary one of several tied
+/// minima — the result does not depend on the order `pairs` arrive in.
+/// Non-finite values are skipped, as [`TopKBuffer::push`] does. It holds
+/// every pair at once, so it suits a server that already does.
+pub fn top_k_sorted(pairs: impl IntoIterator<Item = (usize, f32)>, k: usize) -> Vec<(usize, f32)> {
+    let mut v: Vec<(usize, f32)> = pairs.into_iter().filter(|p| p.1.is_finite()).collect();
+    v.sort_by(by_magnitude_then_index);
+    v.truncate(k);
+    v
 }
 
 #[cfg(test)]
@@ -187,6 +204,39 @@ mod tests {
         let mut buf = TopKBuffer::new(1);
         buf.extend_from_slice(&[0.0, 5.0, -1.0]);
         assert_eq!(buf.into_sorted(), vec![(1, 5.0)]);
+    }
+
+    /// Tied aggregated gradients: the grow set keeps the lowest tied
+    /// indices whatever the arrival order, where the streaming buffer keeps
+    /// an arrival-order-dependent one.
+    #[test]
+    fn top_k_sorted_breaks_ties_by_ascending_index() {
+        let pairs = [(5, 1.0f32), (2, -1.0), (9, 1.0), (7, 2.0), (0, f32::NAN)];
+        let expect = vec![(7, 2.0), (2, -1.0)];
+        let mut order = pairs.to_vec();
+        for rot in 0..order.len() {
+            order.rotate_left(1);
+            assert_eq!(
+                top_k_sorted(order.iter().copied(), 2),
+                expect,
+                "rotation {rot}"
+            );
+            order.reverse();
+            assert_eq!(
+                top_k_sorted(order.iter().copied(), 2),
+                expect,
+                "reversed {rot}"
+            );
+        }
+        // Fed in ascending index order, the buffer evicts the first-come
+        // tied minimum when the larger value arrives and ends up with 5.
+        let mut buf = TopKBuffer::new(2);
+        for (i, v) in [(2usize, -1.0f32), (5, 1.0), (7, 2.0), (9, 1.0)] {
+            buf.push(i, v);
+        }
+        assert_eq!(buf.into_sorted(), vec![(7, 2.0), (5, 1.0)]);
+        assert!(top_k_sorted(pairs, 0).is_empty());
+        assert_eq!(top_k_sorted(pairs, 10).len(), 4);
     }
 
     proptest! {

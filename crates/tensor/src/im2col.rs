@@ -1,21 +1,33 @@
-//! im2col / col2im transforms used to express convolution as matmul.
+//! im2col / col2im: convolution as a GEMM over a batched column matrix.
 //!
-//! Two layouts exist: the classic per-sample `[col_rows, col_cols]` matrix,
-//! and the *batched* layout `[col_rows, n · col_cols]` where sample `i`'s
-//! columns occupy the contiguous column slice `i·cc..(i+1)·cc` of every row.
-//! The batched layout lets one whole-batch GEMM replace a per-sample loop
-//! without changing any per-output-element accumulation order (the GEMM `k`
-//! dimension — `col_rows` — is untouched by batching).
+//! A batch `x` of shape `[n, in_c, in_h, in_w]` unfolds into the batched
+//! column matrix `[col_rows, n · col_cols]`: row `r` is the tap
+//! `(c, kh, kw)` in lexicographic order, and sample `i` occupies the column
+//! slice `i·cc..(i+1)·cc` of every row. One whole-batch GEMM over it
+//! replaces a per-sample loop without changing any per-output-element
+//! accumulation order (the GEMM `k` dimension — `col_rows` — is untouched by
+//! batching).
 //!
-//! [`conv2d_fused_into_rt`] goes one step further and never materializes the
-//! column matrix at all: an implicit-GEMM pack source generates the batched
-//! im2col values directly into the GEMM's packed `B` panels, byte-identical
-//! to packing a materialized matrix.
+//! Both directions are table driven. [`pad_batch`] copies the batch once
+//! into a zero-padded buffer `[n, in_c, hp, wp]` (`hp = in_h + 2·pad`,
+//! `wp = in_w + 2·pad`; with `pad == 0` the batch itself already has that
+//! layout). Every column value is then a plain gather
+//! `xp[c·hp·wp + tab[tap][i·cc + j]]` with no per-element padding test,
+//! where the [`ColTable`] holds, per kernel tap `(kh, kw)` and batched
+//! column, the offset of the tap's pixel relative to channel `c`'s plane of
+//! sample 0. [`col2im_batched`] runs the same table backwards as a
+//! scatter-add.
+//!
+//! [`conv2d_fused_into_rt`] never materializes the column matrix at all: its
+//! implicit-GEMM pack source gathers through the same table straight into
+//! the GEMM's packed `B` panels, byte-identical to packing a materialized
+//! matrix.
 
 use crate::matmul::{gemm_src, GemmShape, PackBSource};
 use crate::Tensor;
 use ft_runtime::Runtime;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Geometry of a 2-D convolution over a single sample.
 ///
@@ -65,6 +77,17 @@ impl ConvGeom {
     pub fn col_cols(&self) -> usize {
         self.out_h() * self.out_w()
     }
+
+    /// Sides `(in_h + 2·pad, in_w + 2·pad)` of one zero-padded plane.
+    pub fn padded_hw(&self) -> (usize, usize) {
+        (self.in_h + 2 * self.pad, self.in_w + 2 * self.pad)
+    }
+
+    /// Floats per sample of the zero-padded input: `in_c · hp · wp`.
+    pub fn padded_len(&self) -> usize {
+        let (hp, wp) = self.padded_hw();
+        self.in_c * hp * wp
+    }
 }
 
 fn checked_out(dim: usize, k: usize, s: usize, p: usize) -> usize {
@@ -76,364 +99,381 @@ fn checked_out(dim: usize, k: usize, s: usize, p: usize) -> usize {
     (padded - k) / s + 1
 }
 
-/// Unfolds one sample `x` of shape `[in_c, in_h, in_w]` (given as a flat
-/// slice) into a `[col_rows, col_cols]` matrix written into `out`.
+/// Columns per tap a [`ColTable`] row aims for. A batch whose columns
+/// outnumber it runs in blocks of `⌈TABLE_COLS / col_cols⌉` samples, which
+/// bounds a table at `kernel² · max(col_cols, TABLE_COLS)` entries while
+/// keeping gather runs that long.
+const TABLE_COLS: usize = 256;
+
+/// Gather table of one convolution geometry.
 ///
-/// Padding positions contribute zeros.
+/// For kernel tap `t = kh·k + kw` and batched column `j = i·cc + oy·ow + ox`
+/// of the first `block` samples it stores
+/// `i·in_c·hp·wp + (oy·stride + kh)·wp + ox·stride + kw`: the offset of that
+/// tap's pixel in a zero-padded batch, relative to the start of the tap's
+/// channel plane in sample 0. Along a tap's row the offsets strictly
+/// ascend, since `ox·stride + kw < wp`.
 ///
-/// # Panics
-///
-/// Panics if slice lengths do not match the geometry.
-pub fn im2col(x: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    check_im2col(x, g, out);
-    im2col_rows(x, g, 0..g.col_rows(), out);
+/// Sample `i`'s offsets do not depend on the batch size, so a smaller batch
+/// (an epoch's tail batch) reads a prefix of every tap's row, and a larger
+/// one reads the row once per block of `block` samples, shifted by the
+/// block's first sample. The table is built for the largest batch it has
+/// been fitted to, up to one block of 256 columns. The offsets sit behind
+/// an [`Arc`], so cloning a layer shares them instead of copying them.
+#[derive(Clone, Debug, Default)]
+pub struct ColTable {
+    geom: Option<ConvGeom>,
+    /// Samples covered by each tap's row.
+    block: usize,
+    /// `col_cols` of `geom`.
+    cc: usize,
+    /// `padded_len` of `geom`.
+    sample: usize,
+    /// `[kernel², block · cc]` offsets.
+    offs: Arc<[u32]>,
 }
 
-/// [`im2col`] with the output rows (one per `(channel, kh, kw)` tap) fanned
-/// out over `rt`'s workers. Rows are written independently, so the parallel
-/// result is bit-identical to the sequential one.
-///
-/// # Panics
-///
-/// Panics on the same length mismatches as [`im2col`].
-pub fn im2col_rt(rt: &Runtime, x: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    check_im2col(x, g, out);
-    let rows = g.col_rows();
-    if !rt.should_parallelize(out.len()) || rows <= 1 {
-        return im2col_rows(x, g, 0..rows, out);
-    }
-    let cols = g.col_cols();
-    let jobs = rt.split_rows_mut(out, cols.max(1));
-    rt.scatter(jobs, |(range, chunk)| {
-        im2col_rows(x, g, range, chunk);
-    });
-}
-
-fn check_im2col(x: &[f32], g: &ConvGeom, out: &[f32]) {
-    assert_eq!(
-        x.len(),
-        g.in_c * g.in_h * g.in_w,
-        "im2col input length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        g.col_rows() * g.col_cols(),
-        "im2col output length mismatch"
-    );
-}
-
-/// Decodes a column-matrix row index into its `(channel, kh, kw)` tap.
-#[inline]
-fn decode_tap(g: &ConvGeom, row: usize) -> (usize, usize, usize) {
-    let taps = g.kernel * g.kernel;
-    (row / taps, (row % taps) / g.kernel, row % g.kernel)
-}
-
-/// Writes one sample's full `col_cols` span for the tap `(kh, kw)` of
-/// `plane` into `dst`.
-///
-/// For the ubiquitous `stride == 1` case each output row is a contiguous
-/// input run flanked by padding zeros, so the inner loop becomes one
-/// `copy_from_slice` plus two fills — every element is the same pure copy
-/// (or structural zero) the scalar loop writes, just written faster.
-#[inline]
-fn fill_tap(
-    plane: &[f32],
-    g: &ConvGeom,
-    oh: usize,
-    ow: usize,
-    kh: usize,
-    kw: usize,
-    dst: &mut [f32],
-) {
-    if g.stride == 1 {
-        // ox + kw - pad must land in [0, in_w): zeros before `lead`, a
-        // contiguous copy until `hi`, zeros after.
-        let lead = g.pad.saturating_sub(kw).min(ow);
-        let hi = (g.in_w + g.pad).saturating_sub(kw).min(ow);
-        let ix0 = (kw + lead).saturating_sub(g.pad);
-        for oy in 0..oh {
-            let row = &mut dst[oy * ow..(oy + 1) * ow];
-            let iy = (oy + kh) as isize - g.pad as isize;
-            if iy < 0 || iy as usize >= g.in_h {
-                row.fill(0.0);
-                continue;
-            }
-            row[..lead].fill(0.0);
-            if hi > lead {
-                row[lead..hi].copy_from_slice(&plane[iy as usize * g.in_w + ix0..][..hi - lead]);
-            }
-            row[hi..].fill(0.0);
+impl ColTable {
+    /// Makes the table cover batches of `n` samples of geometry `g`,
+    /// rebuilding it only when the geometry changed or `n` needs more
+    /// samples per row than it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit the input or one block of padded
+    /// samples has more than `u32::MAX` elements.
+    pub fn fit(&mut self, g: &ConvGeom, n: usize) {
+        if self.covers(g, n) {
+            return;
         }
-        return;
-    }
-    let mut idx = 0usize;
-    for oy in 0..oh {
-        let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-        for ox in 0..ow {
-            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-            dst[idx] = if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w {
-                plane[iy as usize * g.in_w + ix as usize]
-            } else {
-                0.0
-            };
-            idx += 1;
+        let (_, wp) = g.padded_hw();
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let (cc, sample) = (oh * ow, g.padded_len());
+        let block = n.min(TABLE_COLS.div_ceil(cc.max(1)));
+        assert!(
+            block.saturating_mul(sample) <= u32::MAX as usize,
+            "{block} padded samples of {sample} floats overflow the u32 gather table"
+        );
+        let mut offs = Vec::with_capacity(g.kernel * g.kernel * block * cc);
+        for kh in 0..g.kernel {
+            for kw in 0..g.kernel {
+                for i in 0..block {
+                    for oy in 0..oh {
+                        let row = i * sample + (oy * g.stride + kh) * wp + kw;
+                        offs.extend((0..ow).map(|ox| (row + ox * g.stride) as u32));
+                    }
+                }
+            }
         }
+        *self = ColTable {
+            geom: Some(*g),
+            block,
+            cc,
+            sample,
+            offs: offs.into(),
+        };
     }
-}
 
-/// Unfolds the output-row range `rows` (each row is one `(c, kh, kw)` tap in
-/// lexicographic order); `chunk` holds exactly those rows.
-fn im2col_rows(x: &[f32], g: &ConvGeom, rows: Range<usize>, chunk: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    for (local, row) in rows.enumerate() {
-        let (c, kh, kw) = decode_tap(g, row);
-        let plane = &x[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-        fill_tap(
-            plane,
-            g,
-            oh,
-            ow,
-            kh,
-            kw,
-            &mut chunk[local * cols..(local + 1) * cols],
+    fn covers(&self, g: &ConvGeom, n: usize) -> bool {
+        self.geom == Some(*g) && n.min(TABLE_COLS.div_ceil(self.cc.max(1))) <= self.block
+    }
+
+    fn check(&self, g: &ConvGeom, n: usize) {
+        assert!(
+            self.covers(g, n),
+            "ColTable fitted to {:?} x{} is used for {g:?} x{n}",
+            self.geom,
+            self.block
         );
     }
-}
 
-/// Unfolds a whole batch `x` of shape `[n, in_c, in_h, in_w]` (flat) into
-/// the batched column layout `[col_rows, n · col_cols]`: sample `i`'s
-/// per-sample im2col matrix occupies the column slice `i·cc..(i+1)·cc` of
-/// every row. Each output element is a pure copy (or structural zero), so
-/// the batched matrix is byte-identical to `n` per-sample [`im2col`] calls.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the geometry.
-pub fn im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &mut [f32]) {
-    check_im2col_batched(x, n, g, out);
-    im2col_batched_rows(x, n, g, 0..g.col_rows(), out);
-}
-
-/// [`im2col_batched`] with the output rows fanned out over `rt`'s workers;
-/// bit-identical to the sequential form.
-///
-/// # Panics
-///
-/// Panics on the same length mismatches as [`im2col_batched`].
-pub fn im2col_batched_rt(rt: &Runtime, x: &[f32], n: usize, g: &ConvGeom, out: &mut [f32]) {
-    check_im2col_batched(x, n, g, out);
-    let rows = g.col_rows();
-    if !rt.should_parallelize(out.len()) || rows <= 1 {
-        return im2col_batched_rows(x, n, g, 0..rows, out);
+    /// Walks the batched columns `cols` of tap `tap` in runs that stay
+    /// within one block: `f(base, offs, at)` gets the run's block offset
+    /// `base`, its table offsets, and its position `at` relative to
+    /// `cols.start`. Column `cols.start + at + k` sits at `base + offs[k]`.
+    #[inline(always)]
+    fn runs(&self, tap: usize, cols: Range<usize>, mut f: impl FnMut(usize, &[u32], usize)) {
+        let width = self.block * self.cc;
+        let row = &self.offs[tap * width..][..width];
+        let (mut base, mut r) = (
+            cols.start / width * self.block * self.sample,
+            cols.start % width,
+        );
+        let mut at = 0;
+        while at < cols.len() {
+            let len = (width - r).min(cols.len() - at);
+            f(base, &row[r..r + len], at);
+            at += len;
+            base += self.block * self.sample;
+            r = 0;
+        }
     }
-    let width = n * g.col_cols();
-    let jobs = rt.split_rows_mut(out, width.max(1));
-    rt.scatter(jobs, |(range, chunk)| {
-        im2col_batched_rows(x, n, g, range, chunk);
-    });
 }
 
-fn check_im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &[f32]) {
+/// Visits the rows of the padded-batch interior (one per `(sample,
+/// channel, y)`, in order): `f(padded_start, row_index)`.
+#[inline(always)]
+fn interior_rows(rows: usize, g: &ConvGeom, mut f: impl FnMut(usize, usize)) {
+    let (p, (hp, wp)) = (g.pad, g.padded_hw());
+    let (mut start, mut y) = (p * wp + p, 0);
+    for r in 0..rows {
+        f(start, r);
+        y += 1;
+        if y == g.in_h {
+            y = 0;
+            start += (hp - g.in_h + 1) * wp;
+        } else {
+            start += wp;
+        }
+    }
+}
+
+/// `dst.copy_from_slice(src)`, without the `memcpy` call for the one-float
+/// rows of 1-pixel layers, where the call would cost more than the copy.
+#[inline(always)]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    if let ([d], [s]) = (&mut *dst, src) {
+        *d = *s;
+    } else {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Copies the batch `x` (`[n, in_c, in_h, in_w]` flat) into `xp` as the
+/// zero-padded batch `[n, in_c, hp, wp]` that [`im2col_batched_rt`] and
+/// [`conv2d_fused_into_rt`] gather from. `xp` is resized in place and every
+/// element is written, so a reused buffer does not reallocate at a steady
+/// batch size. With `pad == 0` this is a plain copy.
+///
+/// # Panics
+///
+/// Panics if `x` does not hold `n` samples of the geometry.
+pub fn pad_batch(x: &[f32], n: usize, g: &ConvGeom, xp: &mut Vec<f32>) {
     assert_eq!(
         x.len(),
         n * g.in_c * g.in_h * g.in_w,
+        "pad_batch input length mismatch"
+    );
+    xp.clear();
+    if g.pad == 0 {
+        xp.extend_from_slice(x);
+        return;
+    }
+    xp.resize(n * g.padded_len(), 0.0);
+    let w = g.in_w;
+    interior_rows(x.len() / w, g, |at, r| {
+        copy_row(&mut xp[at..at + w], &x[r * w..(r + 1) * w]);
+    });
+}
+
+/// Unfolds a zero-padded batch `xp` (see [`pad_batch`]; with `pad == 0`,
+/// the batch itself) into the batched column matrix `out`
+/// `[col_rows, n · col_cols]`, with the rows fanned out over `rt`'s workers.
+/// Every element is a pure copy of an input value or of a padding zero, so
+/// the result is byte-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if `tab` is not fitted to `g` and `n`, or on a length mismatch.
+pub fn im2col_batched_rt(
+    rt: &Runtime,
+    xp: &[f32],
+    n: usize,
+    g: &ConvGeom,
+    tab: &ColTable,
+    out: &mut [f32],
+) {
+    tab.check(g, n);
+    let (rows, ncc) = (g.col_rows(), n * g.col_cols());
+    assert_eq!(
+        xp.len(),
+        n * g.padded_len(),
         "im2col_batched input length mismatch"
     );
     assert_eq!(
         out.len(),
-        g.col_rows() * n * g.col_cols(),
+        rows * ncc,
         "im2col_batched output length mismatch"
     );
+    if ncc == 0 {
+        return;
+    }
+    if !rt.should_parallelize(out.len()) || rows <= 1 {
+        return gather_rows(xp, n, g, tab, 0..rows, out);
+    }
+    let jobs = rt.split_rows_mut(out, ncc);
+    rt.scatter(jobs, |(range, chunk)| {
+        gather_rows(xp, n, g, tab, range, chunk);
+    });
 }
 
-fn im2col_batched_rows(x: &[f32], n: usize, g: &ConvGeom, rows: Range<usize>, chunk: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cc = oh * ow;
-    let plane_len = g.in_h * g.in_w;
-    let sample_len = g.in_c * plane_len;
-    for (local, row) in rows.enumerate() {
-        let (c, kh, kw) = decode_tap(g, row);
-        let dst_row = &mut chunk[local * n * cc..(local + 1) * n * cc];
-        for i in 0..n {
-            let plane = &x[i * sample_len + c * plane_len..][..plane_len];
-            fill_tap(plane, g, oh, ow, kh, kw, &mut dst_row[i * cc..(i + 1) * cc]);
+/// Gathers the column-matrix rows `rows`; `chunk` holds exactly those rows.
+fn gather_rows(
+    xp: &[f32],
+    n: usize,
+    g: &ConvGeom,
+    tab: &ColTable,
+    rows: Range<usize>,
+    chunk: &mut [f32],
+) {
+    let (taps, (hp, wp)) = (g.kernel * g.kernel, g.padded_hw());
+    let ncc = n * tab.cc;
+    let (mut c, mut tap) = (rows.start / taps, rows.start % taps);
+    for dst in chunk.chunks_exact_mut(ncc) {
+        let plane = &xp[c * hp * wp..];
+        tab.runs(tap, 0..ncc, |base, offs, at| {
+            gather(&plane[base..], offs, &mut dst[at..at + offs.len()]);
+        });
+        tap += 1;
+        if tap == taps {
+            (c, tap) = (c + 1, 0);
         }
     }
 }
 
-/// Folds a `[col_rows, col_cols]` matrix back into the input layout,
-/// *accumulating* overlapping contributions into `out` (shape
-/// `[in_c, in_h, in_w]` flat). This is the adjoint of [`im2col`] and is used
-/// for the convolution input gradient.
+/// Offsets per contiguity probe in [`gather`] / [`scatter_add`].
+const LANE: usize = 8;
+
+/// `dst[k] = src[offs[k]]` over one run of table offsets.
 ///
-/// # Panics
-///
-/// Panics if slice lengths do not match the geometry.
-pub fn col2im(col: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    assert_eq!(
-        col.len(),
-        g.col_rows() * g.col_cols(),
-        "col2im input length mismatch"
-    );
-    col2im_ld(col, g.col_cols(), g, out);
+/// Offsets ascend strictly within a run (see [`ColTable`]), so a lane of
+/// [`LANE`] offsets whose ends lie `LANE - 1` apart is contiguous and moves
+/// as one slice copy — the common case for stride-1 output rows. Either
+/// way every element is the same pure copy.
+#[inline(always)]
+fn gather(src: &[f32], offs: &[u32], dst: &mut [f32]) {
+    let dst = &mut dst[..offs.len()];
+    let mut lanes = dst.chunks_exact_mut(LANE);
+    let mut lane_offs = offs.chunks_exact(LANE);
+    for (d, o) in (&mut lanes).zip(&mut lane_offs) {
+        let o0 = o[0] as usize;
+        if o[LANE - 1] as usize == o0 + LANE - 1 {
+            d.copy_from_slice(&src[o0..o0 + LANE]);
+        } else {
+            gather_each(src, o, d);
+        }
+    }
+    gather_each(src, lane_offs.remainder(), lanes.into_remainder());
 }
 
-/// [`col2im`] over a column matrix with row stride `ld ≥ col_cols`: row `r`
-/// occupies `col[r·ld..r·ld + col_cols]`. This folds one sample's slice out
-/// of a batched `[col_rows, n · col_cols]` gradient matrix (pass
-/// `ld = n · col_cols` and the slice starting at that sample's first
-/// column) without copying it into a per-sample buffer first. The
-/// accumulation order over taps is identical to [`col2im`].
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the geometry and stride.
-pub fn col2im_ld(col: &[f32], ld: usize, g: &ConvGeom, out: &mut [f32]) {
-    assert_eq!(
-        out.len(),
-        g.in_c * g.in_h * g.in_w,
-        "col2im output length mismatch"
-    );
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    assert!(ld >= cols, "col2im_ld stride {ld} < col_cols {cols}");
-    assert!(
-        col.len() >= (g.col_rows() - 1) * ld + cols,
-        "col2im_ld input too short"
-    );
-    let mut row = 0usize;
-    for c in 0..g.in_c {
-        let base = c * g.in_h * g.in_w;
-        for kh in 0..g.kernel {
-            for kw in 0..g.kernel {
-                let src = &col[row * ld..row * ld + cols];
-                if g.stride == 1 {
-                    // Contiguous accumulate runs, mirroring `fill_tap`'s
-                    // window: each in-bounds output row receives one
-                    // `out[ix0..] += src[lead..hi]` sweep. Every target
-                    // element takes the same single add per tap row, in the
-                    // same ascending-`ox` order, as the scalar loop.
-                    let lead = g.pad.saturating_sub(kw).min(ow);
-                    let hi = (g.in_w + g.pad).saturating_sub(kw).min(ow);
-                    let ix0 = (kw + lead).saturating_sub(g.pad);
-                    for oy in 0..oh {
-                        let iy = (oy + kh) as isize - g.pad as isize;
-                        if iy < 0 || iy as usize >= g.in_h || hi <= lead {
-                            continue;
-                        }
-                        let dst = &mut out[base + iy as usize * g.in_w + ix0..][..hi - lead];
-                        for (d, &v) in dst.iter_mut().zip(&src[oy * ow + lead..oy * ow + hi]) {
-                            *d += v;
-                        }
-                    }
-                    row += 1;
-                    continue;
-                }
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                        if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w {
-                            out[base + iy as usize * g.in_w + ix as usize] += src[idx];
-                        }
-                        idx += 1;
-                    }
-                }
-                row += 1;
+/// Element-wise [`gather`].
+#[inline(always)]
+fn gather_each(src: &[f32], offs: &[u32], dst: &mut [f32]) {
+    for (d, &o) in dst.iter_mut().zip(offs) {
+        *d = src[o as usize];
+    }
+}
+
+/// `dst[offs[k]] += src[k]` over one run of table offsets, in order; the
+/// scatter twin of [`gather`], with the same contiguous-lane fast path.
+/// Offsets within a run are distinct, so lane order does not change any
+/// element's sum.
+#[inline(always)]
+fn scatter_add(src: &[f32], offs: &[u32], dst: &mut [f32]) {
+    let src = &src[..offs.len()];
+    let mut lanes = src.chunks_exact(LANE);
+    let mut lane_offs = offs.chunks_exact(LANE);
+    for (v, o) in (&mut lanes).zip(&mut lane_offs) {
+        let o0 = o[0] as usize;
+        if o[LANE - 1] as usize == o0 + LANE - 1 {
+            for (a, &v) in dst[o0..o0 + LANE].iter_mut().zip(v) {
+                *a += v;
             }
+        } else {
+            scatter_each(v, o, dst);
+        }
+    }
+    scatter_each(lanes.remainder(), lane_offs.remainder(), dst);
+}
+
+/// Element-wise [`scatter_add`].
+#[inline(always)]
+fn scatter_each(src: &[f32], offs: &[u32], dst: &mut [f32]) {
+    for (&o, &v) in offs.iter().zip(src) {
+        dst[o as usize] += v;
+    }
+}
+
+/// Folds a batched column-space gradient `dcol` (`[col_rows, n · col_cols]`)
+/// back into image space, *overwriting* `gx` (`[n, in_c, in_h, in_w]`
+/// flat): the adjoint of [`im2col_batched_rt`], used for the convolution
+/// input gradient.
+///
+/// Rows are scatter-added through the table in ascending order into `acc`,
+/// a zeroed padded batch (resized in place), whose interior is then copied
+/// out; with `pad == 0` the adds land in `gx` directly. One row never hits
+/// the same pixel twice, so every input element receives `+0.0` followed by
+/// its taps' contributions in ascending row order — the accumulation order
+/// of the scalar per-sample definition, hence bit-identical to it.
+///
+/// # Panics
+///
+/// Panics if `tab` is not fitted to `g` and `n`, or on a length mismatch.
+pub fn col2im_batched(
+    dcol: &[f32],
+    n: usize,
+    g: &ConvGeom,
+    tab: &ColTable,
+    acc: &mut Vec<f32>,
+    gx: &mut [f32],
+) {
+    tab.check(g, n);
+    let (rows, ncc) = (g.col_rows(), n * g.col_cols());
+    assert_eq!(
+        dcol.len(),
+        rows * ncc,
+        "col2im_batched input length mismatch"
+    );
+    assert_eq!(
+        gx.len(),
+        n * g.in_c * g.in_h * g.in_w,
+        "col2im_batched output length mismatch"
+    );
+    if g.pad == 0 {
+        gx.fill(0.0);
+        return scatter_rows(dcol, n, g, tab, gx);
+    }
+    acc.clear();
+    acc.resize(n * g.padded_len(), 0.0);
+    scatter_rows(dcol, n, g, tab, acc);
+    let w = g.in_w;
+    interior_rows(gx.len() / w, g, |at, r| {
+        copy_row(&mut gx[r * w..(r + 1) * w], &acc[at..at + w]);
+    });
+}
+
+/// Scatter-adds every row of `dcol` into the padded batch `acc`, rows in
+/// ascending order.
+fn scatter_rows(dcol: &[f32], n: usize, g: &ConvGeom, tab: &ColTable, acc: &mut [f32]) {
+    let (taps, (hp, wp)) = (g.kernel * g.kernel, g.padded_hw());
+    let ncc = n * tab.cc;
+    if ncc == 0 {
+        return;
+    }
+    let (mut c, mut tap) = (0, 0);
+    for src in dcol.chunks_exact(ncc) {
+        let plane = &mut acc[c * hp * wp..];
+        tab.runs(tap, 0..ncc, |base, offs, at| {
+            scatter_add(&src[at..], offs, &mut plane[base..]);
+        });
+        tap += 1;
+        if tap == taps {
+            (c, tap) = (c + 1, 0);
         }
     }
 }
 
-/// Implicit-GEMM pack source: generates the batched im2col matrix
-/// `[col_rows, n · col_cols]` straight into the GEMM's packed `B` panels.
-/// Every generated value is the same pure copy (or structural zero) that
-/// [`im2col_batched`] would have written and that `pack_b` would then have
-/// copied, so the packed panels are byte-identical to the materialized
-/// path and the GEMM output is bit-identical.
+/// Implicit-GEMM pack source: gathers the batched column matrix
+/// `[col_rows, n · col_cols]` through the table straight into the GEMM's
+/// packed `B` panels. Every generated value is the same pure copy (or
+/// padding zero) that [`im2col_batched_rt`] would have written and that
+/// `pack_b` would then have copied, so the packed panels are byte-identical
+/// to the materialized path and the GEMM output is bit-identical.
 struct ImageCols<'a> {
-    x: &'a [f32],
-    g: ConvGeom,
-    oh: usize,
-    ow: usize,
-}
-
-impl ImageCols<'_> {
-    /// Fills `dst[..valid]` with batched-column values
-    /// `cols_b(row, j0..j0 + valid)` for the tap decoded from `row`,
-    /// walking the flat column index incrementally instead of dividing per
-    /// element.
-    #[inline]
-    fn fill_lane(&self, row: usize, j0: usize, valid: usize, dst: &mut [f32]) {
-        let g = &self.g;
-        let (c, kh, kw) = decode_tap(g, row);
-        let cc = self.oh * self.ow;
-        let plane_len = g.in_h * g.in_w;
-        let sample_len = g.in_c * plane_len;
-        let mut i = j0 / cc;
-        let jj = j0 % cc;
-        let mut oy = jj / self.ow;
-        let mut ox = jj - oy * self.ow;
-        if g.stride == 1 {
-            // Same run decomposition as `fill_tap`, chopped to the lane: a
-            // lane covers at most a few (sample, output-row) spans, each a
-            // zero-pad head, one contiguous copy, and a zero-pad tail.
-            let lead = g.pad.saturating_sub(kw).min(self.ow);
-            let hi = (g.in_w + g.pad).saturating_sub(kw).min(self.ow);
-            let mut done = 0usize;
-            while done < valid {
-                let run = (self.ow - ox).min(valid - done);
-                let seg = &mut dst[done..done + run];
-                let iy = (oy + kh) as isize - g.pad as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    seg.fill(0.0);
-                } else {
-                    // Clip the tap's [lead, hi) copy window to [ox, ox+run).
-                    let s = lead.clamp(ox, ox + run) - ox;
-                    let e = hi.clamp(ox, ox + run) - ox;
-                    seg[..s].fill(0.0);
-                    if e > s {
-                        let ix0 = (kw + ox + s).saturating_sub(g.pad);
-                        let base = i * sample_len + c * plane_len + iy as usize * g.in_w;
-                        seg[s..e].copy_from_slice(&self.x[base + ix0..][..e - s]);
-                    }
-                    seg[e..].fill(0.0);
-                }
-                done += run;
-                ox += run;
-                if ox == self.ow {
-                    ox = 0;
-                    oy += 1;
-                    if oy == self.oh {
-                        oy = 0;
-                        i += 1;
-                    }
-                }
-            }
-            return;
-        }
-        for d in dst[..valid].iter_mut() {
-            let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-            *d = if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w {
-                self.x[i * sample_len + c * plane_len + iy as usize * g.in_w + ix as usize]
-            } else {
-                0.0
-            };
-            ox += 1;
-            if ox == self.ow {
-                ox = 0;
-                oy += 1;
-                if oy == self.oh {
-                    oy = 0;
-                    i += 1;
-                }
-            }
-        }
-    }
+    xp: &'a [f32],
+    tab: &'a ColTable,
+    taps: usize,
+    plane: usize,
 }
 
 impl PackBSource for ImageCols<'_> {
@@ -444,9 +484,12 @@ impl PackBSource for ImageCols<'_> {
         while j0 < cols.end {
             let valid = (cols.end - j0).min(nr);
             let panel = &mut out[strip * kc * nr..(strip + 1) * kc * nr];
-            for kk in 0..kc {
-                let dst = &mut panel[kk * nr..(kk + 1) * nr];
-                self.fill_lane(kr.start + kk, j0, valid, dst);
+            for (row, dst) in kr.clone().zip(panel.chunks_exact_mut(nr)) {
+                let plane = &self.xp[(row / self.taps) * self.plane..];
+                self.tab
+                    .runs(row % self.taps, j0..j0 + valid, |base, offs, at| {
+                        gather(&plane[base..], offs, &mut dst[at..at + offs.len()]);
+                    });
                 dst[valid..].fill(0.0);
             }
             j0 += nr;
@@ -456,40 +499,44 @@ impl PackBSource for ImageCols<'_> {
 }
 
 /// Fused dense convolution: `out += W · cols_b(x)` where `W` is the
-/// `[out_c, col_rows]` weight matrix and `cols_b(x)` is the batched im2col
-/// matrix of `x` (shape `[n, in_c, in_h, in_w]` flat) — except the column
-/// matrix is never materialized: the GEMM packs its `B` panels straight out
-/// of the images via [`ImageCols`]. Output shape is
+/// `[out_c, col_rows]` weight matrix and `cols_b(x)` is the batched column
+/// matrix of the zero-padded batch `xp` (see [`pad_batch`]) — except the
+/// column matrix is never materialized: the GEMM packs its `B` panels
+/// straight out of `xp` through `tab`. Output shape is
 /// `[out_c, n · col_cols]`, accumulating like the other `_into` kernels,
 /// and the result is bit-identical to `matmul_into_rt(w, cols_b, out)` on a
 /// materialized batched column matrix.
 ///
 /// # Panics
 ///
-/// Panics if shapes do not match the geometry.
+/// Panics if `tab` is not fitted to `g` and `n`, or if shapes do not match
+/// the geometry.
 pub fn conv2d_fused_into_rt(
     rt: &Runtime,
     w: &Tensor,
-    x: &[f32],
+    xp: &[f32],
     n: usize,
     g: &ConvGeom,
+    tab: &ColTable,
     out: &mut Tensor,
 ) {
+    tab.check(g, n);
     let cr = g.col_rows();
     let ncc = n * g.col_cols();
     assert_eq!(w.shape(), &[w.shape()[0], cr], "fused conv weight shape");
     let oc = w.shape()[0];
     assert_eq!(
-        x.len(),
-        n * g.in_c * g.in_h * g.in_w,
+        xp.len(),
+        n * g.padded_len(),
         "fused conv input length mismatch"
     );
     assert_eq!(out.shape(), &[oc, ncc], "fused conv output shape");
+    let (hp, wp) = g.padded_hw();
     let src = ImageCols {
-        x,
-        g: *g,
-        oh: g.out_h(),
-        ow: g.out_w(),
+        xp,
+        tab,
+        taps: g.kernel * g.kernel,
+        plane: hp * wp,
     };
     let shape = GemmShape {
         k: cr,
@@ -545,11 +592,185 @@ pub fn conv2d_direct(x: &[f32], w: &[f32], g: &ConvGeom, out_c: usize) -> Tensor
 mod tests {
     use super::*;
     use crate::assert_close;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// Random values with a share of `+0.0` / `-0.0`, so a kernel that
+    /// rewrites a copied zero (or starts an accumulator from `-0.0`) shows.
+    fn signed_zero_vec(n: usize, seed: u64) -> Vec<f32> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| match rng.gen_range(0u32..6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    /// The definition of the batched column matrix: a per-element bounds
+    /// test, zero outside the image.
+    fn ref_im2col(x: &[f32], n: usize, g: &ConvGeom) -> Vec<f32> {
+        let (oh, ow, cc) = (g.out_h(), g.out_w(), g.col_cols());
+        let mut out = vec![f32::NAN; g.col_rows() * n * cc];
+        for r in 0..g.col_rows() {
+            let (c, kh, kw) = (
+                r / (g.kernel * g.kernel),
+                (r / g.kernel) % g.kernel,
+                r % g.kernel,
+            );
+            for i in 0..n {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * g.stride + kh) as isize - g.pad as isize;
+                        let ix = (ox * g.stride + kw) as isize - g.pad as isize;
+                        let inside =
+                            iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w;
+                        out[r * n * cc + i * cc + oy * ow + ox] = if inside {
+                            x[((i * g.in_c + c) * g.in_h + iy as usize) * g.in_w + ix as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The definition of col2im: every input element starts at `+0.0` and
+    /// receives its taps' contributions in ascending row order.
+    fn ref_col2im(dcol: &[f32], n: usize, g: &ConvGeom) -> Vec<f32> {
+        let (oh, ow, cc) = (g.out_h(), g.out_w(), g.col_cols());
+        let mut out = vec![0.0f32; n * g.in_c * g.in_h * g.in_w];
+        for r in 0..g.col_rows() {
+            let (c, kh, kw) = (
+                r / (g.kernel * g.kernel),
+                (r / g.kernel) % g.kernel,
+                r % g.kernel,
+            );
+            for i in 0..n {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * g.stride + kh) as isize - g.pad as isize;
+                        let ix = (ox * g.stride + kw) as isize - g.pad as isize;
+                        if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w {
+                            out[((i * g.in_c + c) * g.in_h + iy as usize) * g.in_w
+                                + ix as usize] += dcol[r * n * cc + i * cc + oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs the table-driven im2col with fresh scratch.
+    fn unfold(rt: &Runtime, x: &[f32], n: usize, g: &ConvGeom) -> Vec<f32> {
+        let mut tab = ColTable::default();
+        tab.fit(g, n);
+        let mut xp = Vec::new();
+        pad_batch(x, n, g, &mut xp);
+        let mut out = vec![f32::NAN; g.col_rows() * n * g.col_cols()];
+        im2col_batched_rt(rt, &xp, n, g, &tab, &mut out);
+        out
+    }
+
+    /// Runs the table-driven col2im with fresh scratch.
+    fn fold(dcol: &[f32], n: usize, g: &ConvGeom) -> Vec<f32> {
+        let mut tab = ColTable::default();
+        tab.fit(g, n);
+        let mut gx = vec![f32::NAN; n * g.in_c * g.in_h * g.in_w];
+        col2im_batched(dcol, n, g, &tab, &mut Vec::new(), &mut gx);
+        gx
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Kernel 1–3, stride 1–3, pad 0–2, odd sides 1–11, `in_c` 1–5.
+    fn geom_strategy() -> impl Strategy<Value = ConvGeom> {
+        (
+            1usize..=3,
+            1usize..=3,
+            0usize..=2,
+            0usize..6,
+            0usize..6,
+            1usize..=5,
+        )
+            .prop_map(|(kernel, stride, pad, h, w, in_c)| ConvGeom {
+                in_c,
+                in_h: 2 * h + 1,
+                in_w: 2 * w + 1,
+                kernel,
+                stride,
+                pad,
+            })
+    }
+
+    fn fits(g: &ConvGeom) -> bool {
+        g.in_h + 2 * g.pad >= g.kernel && g.in_w + 2 * g.pad >= g.kernel
+    }
+
+    /// Batch sizes under test: 1, 2 and 7 samples.
+    const BATCHES: [usize; 3] = [1, 2, 7];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The batched im2col is byte-identical to its definition.
+        #[test]
+        fn im2col_batched_matches_definition(
+            g in geom_strategy(),
+            b in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(fits(&g));
+            let n = BATCHES[b];
+            let x = signed_zero_vec(n * g.in_c * g.in_h * g.in_w, seed);
+            let got = unfold(&Runtime::sequential(), &x, n, &g);
+            prop_assert_eq!(bits(&got), bits(&ref_im2col(&x, n, &g)), "{:?} n={}", g, n);
+        }
+
+        /// The batched col2im is byte-identical to its definition.
+        #[test]
+        fn col2im_batched_matches_definition(
+            g in geom_strategy(),
+            b in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(fits(&g));
+            let n = BATCHES[b];
+            let dcol = signed_zero_vec(g.col_rows() * n * g.col_cols(), seed);
+            prop_assert_eq!(
+                bits(&fold(&dcol, n, &g)),
+                bits(&ref_col2im(&dcol, n, &g)),
+                "{:?} n={}", g, n
+            );
+        }
+
+        /// Parallel im2col is byte-identical to the sequential form.
+        #[test]
+        fn rt_im2col_batched_matches_sequential(
+            g in geom_strategy(),
+            b in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(fits(&g));
+            let n = BATCHES[b];
+            let x = signed_zero_vec(n * g.in_c * g.in_h * g.in_w, seed);
+            let seq = unfold(&Runtime::sequential(), &x, n, &g);
+            for threads in [2usize, 4, 64] {
+                let par = unfold(&Runtime::exact(threads).with_min_work(0), &x, n, &g);
+                prop_assert_eq!(bits(&par), bits(&seq), "threads={}", threads);
+            }
+        }
     }
 
     #[test]
@@ -566,6 +787,8 @@ mod tests {
         assert_eq!(g.out_w(), 8);
         assert_eq!(g.col_rows(), 27);
         assert_eq!(g.col_cols(), 64);
+        assert_eq!(g.padded_hw(), (10, 10));
+        assert_eq!(g.padded_len(), 300);
         let g2 = ConvGeom {
             in_c: 1,
             in_h: 8,
@@ -592,6 +815,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ColTable fitted to")]
+    fn unfitted_table_is_rejected() {
+        let g = ConvGeom {
+            in_c: 1,
+            in_h: 3,
+            in_w: 3,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut tab = ColTable::default();
+        tab.fit(&g, 2);
+        let mut out = vec![0.0; g.col_rows() * 3 * g.col_cols()];
+        im2col_batched_rt(&Runtime::sequential(), &[0.0; 75], 3, &g, &tab, &mut out);
+    }
+
+    #[test]
     fn im2col_matmul_matches_direct_conv() {
         for (stride, pad) in [(1, 1), (2, 1), (1, 0)] {
             let g = ConvGeom {
@@ -605,8 +845,7 @@ mod tests {
             let out_c = 4;
             let x = rand_vec(g.in_c * g.in_h * g.in_w, 10 + stride as u64);
             let w = rand_vec(out_c * g.col_rows(), 20 + pad as u64);
-            let mut col = vec![0.0; g.col_rows() * g.col_cols()];
-            im2col(&x, &g, &mut col);
+            let col = unfold(&Runtime::sequential(), &x, 1, &g);
             let wt = Tensor::from_vec(w.clone(), &[out_c, g.col_rows()]);
             let colt = Tensor::from_vec(col, &[g.col_rows(), g.col_cols()]);
             let got = wt.matmul(&colt);
@@ -627,112 +866,73 @@ mod tests {
             stride: 2,
             pad: 1,
         };
-        let x = rand_vec(g.in_c * g.in_h * g.in_w, 33);
-        let y = rand_vec(g.col_rows() * g.col_cols(), 44);
-        let mut cx = vec![0.0; y.len()];
-        im2col(&x, &g, &mut cx);
+        let n = 3;
+        let x = rand_vec(n * g.in_c * g.in_h * g.in_w, 33);
+        let y = rand_vec(g.col_rows() * n * g.col_cols(), 44);
+        let cx = unfold(&Runtime::sequential(), &x, n, &g);
         let lhs: f32 = cx.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
-        let mut xy = vec![0.0; x.len()];
-        col2im(&y, &g, &mut xy);
+        let xy = fold(&y, n, &g);
         let rhs: f32 = x.iter().zip(xy.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
+    /// One set of scratch buffers driven through a full batch, a tail
+    /// batch, the full batch again and a geometry switch. The tail batch
+    /// reads a prefix of the table and the full batch comes back to it
+    /// without a rebuild; the switch rebuilds, and its geometry's wide rows
+    /// run the 32- and 5-sample batches block by block. Every call stays
+    /// byte-identical to the definition.
     #[test]
-    fn im2col_rt_is_bit_identical() {
-        let g = ConvGeom {
-            in_c: 3,
-            in_h: 7,
-            in_w: 6,
+    fn scratch_reuse_across_batches_and_geometries() {
+        let geom = |in_c, side| ConvGeom {
+            in_c,
+            in_h: side,
+            in_w: side,
             kernel: 3,
             stride: 1,
             pad: 1,
         };
-        let x = rand_vec(g.in_c * g.in_h * g.in_w, 55);
-        let mut seq = vec![0.0; g.col_rows() * g.col_cols()];
-        im2col(&x, &g, &mut seq);
-        for threads in [1usize, 2, 5, 64] {
-            let mut par = vec![0.0; seq.len()];
-            im2col_rt(&Runtime::exact(threads).with_min_work(0), &x, &g, &mut par);
-            assert_eq!(seq, par, "threads={threads}");
+        let (g2, g8) = (geom(32, 2), geom(8, 8));
+        let rt = Runtime::sequential();
+        let (mut tab, mut xp, mut acc) = (ColTable::default(), Vec::new(), Vec::new());
+        let mut prev = ColTable::default();
+        let steps = [
+            (g2, 32usize, true),
+            (g2, 5, false),
+            (g2, 32, false),
+            (g8, 32, true),
+            (g8, 5, false),
+        ];
+        for (step, (g, n, rebuilds)) in steps.into_iter().enumerate() {
+            tab.fit(&g, n);
+            assert_eq!(!Arc::ptr_eq(&tab.offs, &prev.offs), rebuilds, "step {step}");
+            prev = tab.clone();
+            let x = signed_zero_vec(n * g.in_c * g.in_h * g.in_w, 500 + step as u64);
+            pad_batch(&x, n, &g, &mut xp);
+            let mut cols = vec![f32::NAN; g.col_rows() * n * g.col_cols()];
+            im2col_batched_rt(&rt, &xp, n, &g, &tab, &mut cols);
+            assert_eq!(
+                bits(&cols),
+                bits(&ref_im2col(&x, n, &g)),
+                "im2col step {step}"
+            );
+            let mut gx = vec![f32::NAN; x.len()];
+            col2im_batched(&cols, n, &g, &tab, &mut acc, &mut gx);
+            assert_eq!(
+                bits(&gx),
+                bits(&ref_col2im(&cols, n, &g)),
+                "col2im step {step}"
+            );
         }
-    }
-
-    /// The batched layout must be byte-identical to per-sample im2col calls
-    /// interleaved into the `[cr, n·cc]` layout — the property that makes
-    /// whole-batch GEMMs trace-compatible with the per-sample loop.
-    #[test]
-    fn batched_matches_per_sample_exactly() {
-        for (n, stride, pad) in [(1usize, 1, 1), (2, 2, 1), (7, 1, 0)] {
-            let g = ConvGeom {
-                in_c: 3,
-                in_h: 7,
-                in_w: 5,
-                kernel: 3,
-                stride,
-                pad,
-            };
-            let (cr, cc) = (g.col_rows(), g.col_cols());
-            let sample = g.in_c * g.in_h * g.in_w;
-            let x = rand_vec(n * sample, 70 + n as u64);
-            let mut expect = vec![0.0f32; cr * n * cc];
-            let mut one = vec![0.0f32; cr * cc];
-            for i in 0..n {
-                im2col(&x[i * sample..(i + 1) * sample], &g, &mut one);
-                for r in 0..cr {
-                    expect[r * n * cc + i * cc..][..cc].copy_from_slice(&one[r * cc..][..cc]);
-                }
-            }
-            let mut got = vec![1.0f32; cr * n * cc]; // overwritten, not accumulated
-            im2col_batched(&x, n, &g, &mut got);
-            assert_eq!(got, expect, "n={n} stride={stride} pad={pad}");
-            for threads in [1usize, 2, 4, 64] {
-                let mut par = vec![1.0f32; cr * n * cc];
-                im2col_batched_rt(
-                    &Runtime::exact(threads).with_min_work(0),
-                    &x,
-                    n,
-                    &g,
-                    &mut par,
-                );
-                assert_eq!(par, expect, "threads={threads} n={n}");
-            }
-        }
-    }
-
-    /// Folding a sample's slice of a batched gradient with `col2im_ld` must
-    /// be bit-identical to copying the slice out and running plain col2im.
-    #[test]
-    fn col2im_ld_matches_materialized_slice() {
-        let g = ConvGeom {
-            in_c: 2,
-            in_h: 6,
-            in_w: 5,
-            kernel: 3,
-            stride: 2,
-            pad: 1,
-        };
-        let n = 3usize;
-        let (cr, cc) = (g.col_rows(), g.col_cols());
-        let batched = rand_vec(cr * n * cc, 81);
-        for i in 0..n {
-            let mut slice = vec![0.0f32; cr * cc];
-            for r in 0..cr {
-                slice[r * cc..][..cc].copy_from_slice(&batched[r * n * cc + i * cc..][..cc]);
-            }
-            let mut expect = vec![0.25f32; g.in_c * g.in_h * g.in_w];
-            col2im(&slice, &g, &mut expect);
-            let mut got = vec![0.25f32; g.in_c * g.in_h * g.in_w];
-            col2im_ld(&batched[i * cc..], n * cc, &g, &mut got);
-            assert_eq!(got, expect, "sample {i}");
-        }
+        assert!(tab.block < 5, "8x8 rows hold fewer samples than the batch");
     }
 
     /// The fused implicit-GEMM conv must be *bit-identical* to the GEMM over
-    /// a materialized batched column matrix, at every thread count —
-    /// the packed panels are byte-equal, so the arithmetic is too.
+    /// a materialized batched column matrix, at every thread count and for
+    /// a table fitted to a larger batch — the packed panels are byte-equal,
+    /// so the arithmetic is too.
     #[test]
-    fn fused_conv_is_bit_identical_to_materialized_gemm() {
+    fn rt_fused_conv_is_bit_identical_to_materialized_gemm() {
         use crate::matmul::matmul_into;
         for (n, oc, stride, pad) in [(1usize, 1usize, 1, 0), (2, 4, 2, 1), (7, 5, 1, 1)] {
             let g = ConvGeom {
@@ -746,33 +946,20 @@ mod tests {
             let (cr, cc) = (g.col_rows(), g.col_cols());
             let x = rand_vec(n * g.in_c * g.in_h * g.in_w, 90 + n as u64);
             let w = Tensor::from_vec(rand_vec(oc * cr, 91 + oc as u64), &[oc, cr]);
-            let mut cols_b = vec![0.0f32; cr * n * cc];
-            im2col_batched(&x, n, &g, &mut cols_b);
+            let cols_b = ref_im2col(&x, n, &g);
             let colst = Tensor::from_vec(cols_b, &[cr, n * cc]);
             let mut expect = Tensor::ones(&[oc, n * cc]);
             matmul_into(&w, &colst, &mut expect);
+            let mut tab = ColTable::default();
+            tab.fit(&g, n + 3);
+            let mut xp = Vec::new();
+            pad_batch(&x, n, &g, &mut xp);
             for threads in [1usize, 2, 4] {
                 let rt = Runtime::exact(threads).with_min_work(0);
                 let mut got = Tensor::ones(&[oc, n * cc]);
-                conv2d_fused_into_rt(&rt, &w, &x, n, &g, &mut got);
+                conv2d_fused_into_rt(&rt, &w, &xp, n, &g, &tab, &mut got);
                 assert_eq!(got.data(), expect.data(), "n={n} oc={oc} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn col2im_accumulates() {
-        let g = ConvGeom {
-            in_c: 1,
-            in_h: 3,
-            in_w: 3,
-            kernel: 3,
-            stride: 1,
-            pad: 0,
-        };
-        let col = vec![1.0; 9];
-        let mut out = vec![5.0; 9];
-        col2im(&col, &g, &mut out);
-        assert_eq!(out, vec![6.0; 9]);
     }
 }

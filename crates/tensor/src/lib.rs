@@ -40,8 +40,8 @@ mod tensor;
 pub use bsr::{bsr_dsmm_nt_into, bsr_dsmm_nt_into_rt, bsr_spmm_into, bsr_spmm_into_rt, BsrView};
 pub use ft_runtime::Runtime;
 pub use im2col::{
-    col2im, col2im_ld, conv2d_direct, conv2d_fused_into_rt, im2col, im2col_batched,
-    im2col_batched_rt, im2col_rt, ConvGeom,
+    col2im_batched, conv2d_direct, conv2d_fused_into_rt, im2col_batched_rt, pad_batch, ColTable,
+    ConvGeom,
 };
 pub use init::{kaiming_normal, normal, uniform, xavier_uniform};
 pub use matmul::{

@@ -4,8 +4,9 @@
 #![cfg(test)]
 
 use crate::{
-    bsr_dsmm_nt_into, bsr_spmm_into, col2im, dsmm_into, dsmm_nt_into, im2col, matmul_into,
-    matmul_nt_into, matmul_tn_into, spmm_into, spmm_tn_into, ConvGeom, Tensor,
+    bsr_dsmm_nt_into, bsr_spmm_into, col2im_batched, dsmm_into, dsmm_nt_into, im2col_batched_rt,
+    matmul_into, matmul_nt_into, matmul_tn_into, pad_batch, spmm_into, spmm_tn_into, ColTable,
+    ConvGeom, Runtime, Tensor,
 };
 use ft_sparse::{BsrMatrix, CsrMatrix};
 use proptest::prelude::*;
@@ -73,18 +74,19 @@ proptest! {
         prop_assert_eq!(a.transposed().transposed(), a);
     }
 
-    /// im2col of a zero image is zero; col2im of a zero matrix adds nothing.
+    /// im2col of a zero image is zero; col2im of a zero matrix is zero.
     #[test]
     fn im2col_zero_preserving(h in 3usize..8, w in 3usize..8, k in 1usize..4) {
         prop_assume!(k <= h && k <= w);
         let g = ConvGeom { in_c: 2, in_h: h, in_w: w, kernel: k, stride: 1, pad: 0 };
         let x = vec![0.0f32; 2 * h * w];
-        let mut col = vec![1.0f32; g.col_rows() * g.col_cols()];
-        im2col(&x, &g, &mut col);
+        let col = im2col_one(&x, &g);
         prop_assert!(col.iter().all(|&v| v == 0.0));
+        let mut tab = ColTable::default();
+        tab.fit(&g, 1);
         let mut out = vec![7.0f32; 2 * h * w];
-        col2im(&vec![0.0; g.col_rows() * g.col_cols()], &g, &mut out);
-        prop_assert!(out.iter().all(|&v| v == 7.0));
+        col2im_batched(&col, 1, &g, &tab, &mut Vec::new(), &mut out);
+        prop_assert!(out.iter().all(|&v| v == 0.0));
     }
 
     /// The sum of an im2col matrix with stride 1 / pad 0 counts each pixel
@@ -97,16 +99,24 @@ proptest! {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let x1: Vec<f32> = (0..h * h).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let x2: Vec<f32> = (0..h * h).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let n = g.col_rows() * g.col_cols();
-        let (mut c1, mut c2, mut c12) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        im2col(&x1, &g, &mut c1);
-        im2col(&x2, &g, &mut c2);
+        let (c1, c2) = (im2col_one(&x1, &g), im2col_one(&x2, &g));
         let sum: Vec<f32> = x1.iter().zip(x2.iter()).map(|(a, b)| a + b).collect();
-        im2col(&sum, &g, &mut c12);
-        for i in 0..n {
+        let c12 = im2col_one(&sum, &g);
+        for i in 0..c12.len() {
             prop_assert!((c12[i] - c1[i] - c2[i]).abs() < 1e-5);
         }
     }
+}
+
+/// The column matrix of one sample, through the batched kernel.
+fn im2col_one(x: &[f32], g: &ConvGeom) -> Vec<f32> {
+    let mut tab = ColTable::default();
+    tab.fit(g, 1);
+    let mut xp = Vec::new();
+    pad_batch(x, 1, g, &mut xp);
+    let mut col = vec![1.0f32; g.col_rows() * g.col_cols()];
+    im2col_batched_rt(&Runtime::sequential(), &xp, 1, g, &tab, &mut col);
+    col
 }
 
 /// Rebuilds a `crate::CsrView` from a `CsrMatrix`'s raw parts.
