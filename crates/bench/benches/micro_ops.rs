@@ -10,15 +10,15 @@ use ft_fl::{local_train_scratch, TrainScratch};
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::models::SmallCnn;
 use ft_nn::optim::{Sgd, SgdConfig};
-use ft_nn::{apply_mask, sparse_layout, Linear, Mode, Model};
+use ft_nn::{apply_mask, sparse_layout, Conv2d, Linear, Mode, Model};
 use ft_runtime::Runtime;
 use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
 };
 use ft_tensor::{
     col2im_batched, im2col_batched_rt, matmul_into, matmul_into_rt, matmul_nt_into_rt,
-    matmul_tn_into_rt, pad_batch, sddmm_nt_into_rt, spmm_into, spmm_into_rt, ColTable, ConvGeom,
-    Tensor,
+    matmul_tn_into_rt, pad_batch, sddmm_nt_into_rt, spmm_into, spmm_into_rt, spmm_tn_into_rt,
+    ColRows, ColTable, ConvGeom, CsrView, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -903,12 +903,12 @@ fn im2col_records(report: &mut BenchReport) {
         let (mut gx, mut gx_legacy) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
         let im2col = |xp: &mut Vec<f32>, cols: &mut [f32]| {
             pad_batch(&x, n, &g, xp);
-            im2col_batched_rt(&rt, xp, n, &g, &table, cols);
+            im2col_batched_rt(&rt, xp, n, &g, &table, ColRows::All, cols);
         };
         im2col(&mut xp, &mut cols);
         legacy_im2col_batched(&x, n, &g, &mut cols_legacy);
         assert_eq!(cols, cols_legacy, "im2col replica diverged at {g:?}");
-        col2im_batched(&dcol, n, &g, &table, &mut acc, &mut gx);
+        col2im_batched(&dcol, n, &g, &table, ColRows::All, &mut acc, &mut gx);
         legacy_col2im_batched(&dcol, n, &g, &mut gx_legacy);
         assert_eq!(gx, gx_legacy, "col2im replica diverged at {g:?}");
         let time = |f: &mut dyn FnMut()| {
@@ -923,7 +923,7 @@ fn im2col_records(report: &mut BenchReport) {
                 legacy_im2col_batched(&x, n, &g, &mut cols_legacy)
             }));
             ns[2].push(time(&mut || {
-                col2im_batched(&dcol, n, &g, &table, &mut acc, &mut gx)
+                col2im_batched(&dcol, n, &g, &table, ColRows::All, &mut acc, &mut gx)
             }));
             ns[3].push(time(&mut || {
                 legacy_col2im_batched(&dcol, n, &g, &mut gx_legacy)
@@ -944,6 +944,203 @@ fn im2col_records(report: &mut BenchReport) {
         println!(
             "im2col/col2im {shape}: {:.0} / {:.0} ns vs legacy {:.0} / {:.0} ns",
             r[0].ns_per_iter, r[2].ns_per_iter, r[1].ns_per_iter, r[3].ns_per_iter
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Full-row sparse convolution (replica)
+// ---------------------------------------------------------------------------
+
+/// The sparse `Conv2d` training step as it ran before the live-row plan:
+/// every column-matrix row gathered, SpMM over the full CSR, the masked
+/// weight gradient through the one-entry segmented SDDMM, a full
+/// `[cr, n·cc]` dCol and a full-row col2im. The `sparse_conv_step` floor
+/// in `bench_check` measures the layer against this replica.
+struct FullRowSparseConv {
+    g: ConvGeom,
+    oc: usize,
+    csr: CsrMatrix,
+    table: ColTable,
+    xpad: Vec<f32>,
+    cols: Tensor,
+    out_b: Tensor,
+    gob: Tensor,
+    vals: Vec<f32>,
+    grad: Vec<f32>,
+}
+
+impl FullRowSparseConv {
+    fn new(g: ConvGeom, oc: usize, bits: &[bool], w: &[f32]) -> Self {
+        FullRowSparseConv {
+            g,
+            oc,
+            csr: CsrMatrix::from_mask_values(bits, w, oc, g.col_rows()),
+            table: ColTable::default(),
+            xpad: Vec::new(),
+            cols: Tensor::default(),
+            out_b: Tensor::default(),
+            gob: Tensor::default(),
+            vals: Vec::new(),
+            grad: vec![0.0; w.len()],
+        }
+    }
+
+    /// Forward plus backward over `x`, writing the output and the input
+    /// gradient and accumulating the weight gradient.
+    fn step(&mut self, w: &[f32], x: &Tensor, go: &Tensor, y: &mut Tensor, gx: &mut Tensor) {
+        let (g, oc, rt) = (self.g, self.oc, Runtime::sequential());
+        let n = x.shape()[0];
+        let (cr, cc) = (g.col_rows(), g.col_cols());
+        self.csr.refresh_values(w);
+        self.table.fit(&g, n);
+        pad_batch(x.data(), n, &g, &mut self.xpad);
+        self.cols.resize_for_overwrite(&[cr, n * cc]);
+        let all = ColRows::All;
+        im2col_batched_rt(
+            &rt,
+            &self.xpad,
+            n,
+            &g,
+            &self.table,
+            all,
+            self.cols.data_mut(),
+        );
+        self.out_b.resize_zeroed(&[oc, n * cc]);
+        spmm_into_rt(&rt, self.csr.view(), &self.cols, &mut self.out_b);
+        y.resize_for_overwrite(&[n, oc, g.out_h(), g.out_w()]);
+        self.gob.resize_for_overwrite(&[oc, n * cc]);
+        for i in 0..n {
+            for c in 0..oc {
+                let (nchw, batched) = ((i * oc + c) * cc, c * n * cc + i * cc);
+                y.data_mut()[nchw..nchw + cc]
+                    .copy_from_slice(&self.out_b.data()[batched..batched + cc]);
+                self.gob.data_mut()[batched..batched + cc]
+                    .copy_from_slice(&go.data()[nchw..nchw + cc]);
+            }
+        }
+        self.vals.clear();
+        self.vals.resize(self.csr.nnz(), 0.0);
+        one_entry_sddmm_nt_seg(self.csr.view(), &self.gob, &self.cols, cc, &mut self.vals);
+        self.csr.scatter_add(&self.vals, &mut self.grad);
+        self.cols.resize_zeroed(&[cr, n * cc]);
+        spmm_tn_into_rt(&rt, self.csr.view(), &self.gob, &mut self.cols);
+        gx.resize_for_overwrite(x.shape());
+        col2im_batched(
+            self.cols.data(),
+            n,
+            &g,
+            &self.table,
+            all,
+            &mut self.xpad,
+            gx.data_mut(),
+        );
+    }
+}
+
+/// The segmented SDDMM as it shipped before the four-entry kernel: one
+/// stored entry at a time, a fresh accumulator per `seg`-wide segment.
+fn one_entry_sddmm_nt_seg(s: CsrView<'_>, a: &Tensor, b: &Tensor, seg: usize, vals: &mut [f32]) {
+    let c = a.shape()[1];
+    let (ad, bd) = (a.data(), b.data());
+    for r in 0..s.rows {
+        let arow = &ad[r * c..(r + 1) * c];
+        let range = s.row_ptr[r]..s.row_ptr[r + 1];
+        for (&j, val) in s.col_idx[range.clone()].iter().zip(&mut vals[range]) {
+            let brow = &bd[j as usize * c..(j as usize + 1) * c];
+            let mut off = 0;
+            while off < c {
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow[off..off + seg].iter().zip(&brow[off..off + seg]) {
+                    acc += av * bv;
+                }
+                *val += acc;
+                off += seg;
+            }
+        }
+    }
+}
+
+/// Records `sparse_conv_step` (a `Conv2d` on its live-row sparse path) and
+/// `sparse_conv_step_legacy` (the [`FullRowSparseConv`] replica) at the four
+/// lab ResNet18 3×3 geometries, `c → c` channels, batch 32, under one
+/// scattered mask of density 0.05, on one thread: median ns per Train
+/// forward plus backward, with the step's realized FLOPs. Both paths must
+/// produce bit-identical output, input gradient and weight gradient before
+/// anything is timed; then they alternate step by step.
+fn sparse_conv_records(report: &mut BenchReport) {
+    let (n, density) = (32usize, 0.05f64);
+    let reps = if ft_bench::quick_mode() { 41usize } else { 201 };
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+        v[v.len() / 2]
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    for (c, side) in [(8usize, 8usize), (16, 4), (32, 2), (64, 1)] {
+        let g = ConvGeom {
+            in_c: c,
+            in_h: side,
+            in_w: side,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut conv = Conv2d::new(&mut rng, c, c, 3, 1, 1, true, "conv");
+        conv.set_runtime(Runtime::sequential());
+        let bits: Vec<bool> = (0..conv.w.len())
+            .map(|_| rng.gen_range(0.0f64..1.0) < density)
+            .collect();
+        for (v, &alive) in conv.w.data.data_mut().iter_mut().zip(&bits) {
+            if !alive {
+                *v = 0.0;
+            }
+        }
+        conv.w.note_mask(&bits);
+        let w = conv.w.data.data().to_vec();
+        let mut legacy = FullRowSparseConv::new(g, c, &bits, &w);
+        let x = ft_tensor::normal(&mut rng, &[n, c, side, side], 0.0, 1.0);
+        let go = ft_tensor::normal(&mut rng, &[n, c, side, side], 0.0, 1.0);
+        let (mut y, mut gx) = (Tensor::default(), Tensor::default());
+        let (mut y_legacy, mut gx_legacy) = (Tensor::default(), Tensor::default());
+        let step = |conv: &mut Conv2d, y: &mut Tensor, gx: &mut Tensor| {
+            conv.forward_into(&x, y, Mode::Train);
+            conv.backward_into(&go, gx);
+        };
+        conv.reset_realized_flops();
+        step(&mut conv, &mut y, &mut gx);
+        let flops = conv.realized_flops();
+        legacy.step(&w, &x, &go, &mut y_legacy, &mut gx_legacy);
+        let bits_of = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits_of(y.data()), bits_of(y_legacy.data()), "out at {g:?}");
+        assert_eq!(bits_of(gx.data()), bits_of(gx_legacy.data()), "gx at {g:?}");
+        assert_eq!(
+            bits_of(conv.w.grad.data()),
+            bits_of(&legacy.grad),
+            "dW at {g:?}"
+        );
+        let mut ns = [(); 2].map(|_| Vec::with_capacity(reps));
+        for _ in 0..reps {
+            let t = std::time::Instant::now();
+            step(&mut conv, &mut y, &mut gx);
+            ns[0].push(t.elapsed().as_nanos() as f64);
+            let t = std::time::Instant::now();
+            legacy.step(&w, &x, &go, &mut y_legacy, &mut gx_legacy);
+            ns[1].push(t.elapsed().as_nanos() as f64);
+        }
+        black_box((&y, &gx, &y_legacy, &gx_legacy));
+        let shape = format!("b{n}x{c}x{side}x{side}");
+        for (op, times) in ["sparse_conv_step", "sparse_conv_step_legacy"]
+            .iter()
+            .zip(ns.iter_mut())
+        {
+            report.push(op, &shape, density, 1, 1, median(times), flops);
+        }
+        let r = &report.records[report.records.len() - 2..];
+        println!(
+            "sparse_conv_step {shape} d={density}: {:.0} ns vs legacy {:.0} ns ({:.2}x)",
+            r[0].ns_per_iter,
+            r[1].ns_per_iter,
+            r[1].ns_per_iter / r[0].ns_per_iter.max(1.0)
         );
     }
 }
@@ -1041,6 +1238,7 @@ fn trajectory_benches(_c: &mut Criterion) {
 
     train_step_records(&mut report);
     im2col_records(&mut report);
+    sparse_conv_records(&mut report);
 
     let path = report.write();
     println!(

@@ -39,6 +39,13 @@
 //! summed single-thread time of the replicas must be at least 2.0x the
 //! summed time of the new kernels. Missing records are hard failures.
 //!
+//! A sixth family gates the live-row sparse convolution the same way: at
+//! the same four geometries the report must carry `sparse_conv_step` (a
+//! `Conv2d` Train forward plus backward at density 0.05) and its
+//! `sparse_conv_step_legacy` replica of the full-row sparse path, and the
+//! replica's summed single-thread time must be at least 1.3x the layer's.
+//! Missing records are hard failures.
+//!
 //! If *zero* gates end up evaluated the check fails loudly: a gate file
 //! that checks nothing is indistinguishable from a regression.
 //!
@@ -56,12 +63,37 @@ use std::process::ExitCode;
 const MIN_GATED_DIM: usize = 256;
 
 /// The lab ResNet18 3×3 stride-1 geometries (`b<n>x<c>x<h>x<w>`) the
-/// im2col / col2im floor sums over.
+/// replica floors sum over.
 const IM2COL_SHAPES: [&str; 4] = ["b32x8x8x8", "b32x16x4x4", "b32x32x2x2", "b32x64x1x1"];
 
-/// Required summed speedup of the table-driven im2col + col2im over the
-/// in-run replicas of the retired run-walking kernels.
-const IM2COL_MIN_RATIO: f64 = 2.0;
+/// A summed in-run replica floor: at every shape of [`IM2COL_SHAPES`], each
+/// op and its `<op>_legacy` replica (measured interleaved in the same run)
+/// must be present at `density` and 1 thread, and the replicas' summed time
+/// must be at least `min_ratio` times the ops' summed time.
+struct ReplicaGate {
+    label: &'static str,
+    ops: &'static [&'static str],
+    density: f64,
+    min_ratio: f64,
+}
+
+/// The table-driven im2col + col2im over replicas of the retired
+/// run-walking kernels, and the live-row sparse conv step over a replica of
+/// the full-row sparse path.
+const REPLICA_GATES: [ReplicaGate; 2] = [
+    ReplicaGate {
+        label: "im2col+col2im",
+        ops: &["im2col_batched", "col2im_batched"],
+        density: 1.0,
+        min_ratio: 2.0,
+    },
+    ReplicaGate {
+        label: "sparse_conv_step",
+        ops: &["sparse_conv_step"],
+        density: 0.05,
+        min_ratio: 1.3,
+    },
+];
 
 /// One parallel-speedup requirement against the report.
 struct SpeedupGate {
@@ -385,16 +417,16 @@ fn main() -> ExitCode {
         }
     }
 
-    // -- Table-driven im2col / col2im floor (summed over lab geometries) --
-    {
+    // -- In-run replica floors (summed over the lab geometries) ----------
+    for gate in &REPLICA_GATES {
         let (mut new_ns, mut legacy_ns) = (0.0f64, 0.0f64);
         let mut missing = Vec::new();
         for shape in IM2COL_SHAPES {
-            for op in ["im2col_batched", "col2im_batched"] {
+            for &op in gate.ops {
                 let legacy_op = format!("{op}_legacy");
                 match (
-                    find(&report.records, op, shape, 1.0, 1),
-                    find(&report.records, &legacy_op, shape, 1.0, 1),
+                    find(&report.records, op, shape, gate.density, 1),
+                    find(&report.records, &legacy_op, shape, gate.density, 1),
                 ) {
                     (Some(cur), Some(legacy)) => {
                         new_ns += cur.ns_per_iter;
@@ -416,19 +448,22 @@ fn main() -> ExitCode {
         if missing.is_empty() {
             evaluated += 1;
             let ratio = legacy_ns / new_ns.max(1.0);
-            let ok = ratio >= IM2COL_MIN_RATIO;
+            let ok = ratio >= gate.min_ratio;
             if !ok {
                 failed = true;
             }
             println!(
-                "  {:>4} im2col+col2im summed over {} geometries @1t: {ratio:.2}x vs in-run \
-                 legacy replicas (need >= {IM2COL_MIN_RATIO:.1}x)",
+                "  {:>4} {} summed over {} geometries @1t: {ratio:.2}x vs in-run legacy \
+                 replicas (need >= {:.1}x)",
                 if ok { "ok" } else { "FAIL" },
-                IM2COL_SHAPES.len()
+                gate.label,
+                IM2COL_SHAPES.len(),
+                gate.min_ratio
             );
         } else {
             eprintln!(
-                "  FAIL im2col+col2im: record(s) missing from report: {} — this gate cannot be skipped",
+                "  FAIL {}: record(s) missing from report: {} — this gate cannot be skipped",
+                gate.label,
                 missing.join(", ")
             );
             failed = true;

@@ -48,7 +48,10 @@ use crate::sched::{
     broadcast_payload_len, device_round_cost, should_eval, survivor_payload_updates,
     PresenceSchedule, Scheduler,
 };
-use crate::train::{train_devices_raw_parallel, train_one_device_raw, DeviceUpdate, LocalOutcome};
+use crate::train::{
+    devices_fan_out, round_train_wall, train_devices_raw_parallel, train_one_device_raw,
+    DeviceUpdate, LocalOutcome,
+};
 use crate::transport::{Delivery, InProcess, RoundRequest, Transport, TransportError};
 use ft_data::Dataset;
 use ft_metrics::{densities_from_mask, sparse_model_bytes, training_flops, SimClock};
@@ -377,6 +380,9 @@ struct BarrierRound {
     alive: Vec<bool>,
     max_upload: f64,
     progressed: bool,
+    /// Whether the cohort trained concurrently: fanned out over the run's
+    /// pool, or on remote devices.
+    concurrent: bool,
 }
 
 impl ServerState<'_> {
@@ -610,6 +616,7 @@ impl ServerState<'_> {
             alive: Vec::new(),
             max_upload: 0.0,
             progressed: false,
+            concurrent: false,
         }
     }
 
@@ -653,6 +660,7 @@ impl ServerState<'_> {
             rejoining: &rejoining,
         };
         rs.updates = transport.exchange_round(&mut req)?;
+        rs.concurrent = !transport.is_local() || devices_fan_out(&env.cfg, rs.parts.len(), rt);
         for (taken, &k) in rs.cohort_residuals.iter_mut().zip(rs.cohort.iter()) {
             self.residuals[k] = std::mem::take(taken);
         }
@@ -806,19 +814,13 @@ impl ServerState<'_> {
             .filter_map(|d| d.update())
             .map(|u| u.realized_flops)
             .fold(0.0, f64::max);
-        let round_wall = if env.cfg.parallel {
+        let round_wall = round_train_wall(
             rs.updates
                 .iter()
                 .filter_map(|d| d.update())
-                .map(|u| u.wall_secs)
-                .fold(0.0, f64::max)
-        } else {
-            rs.updates
-                .iter()
-                .filter_map(|d| d.update())
-                .map(|u| u.wall_secs)
-                .sum()
-        };
+                .map(|u| u.wall_secs),
+            rs.concurrent,
+        );
         ledger.record_realized_round(max_realized, round_wall);
 
         let mask_before_hook = mask.clone();
@@ -914,12 +916,14 @@ impl ServerState<'_> {
                             t.ctx_epoch,
                         )),
                         outcome: t.outcome,
+                        concurrent: false,
                     })
                     .collect()
             }
             None => {
                 let outcomes =
                     train_devices_raw_parallel(&*global, &env.parts, Some(mask), &env.cfg, 0, &rt);
+                let concurrent = devices_fan_out(&env.cfg, n, &rt);
                 outcomes
                     .into_iter()
                     .enumerate()
@@ -948,6 +952,7 @@ impl ServerState<'_> {
                             download_bytes: down,
                             ctx: ctx.clone(),
                             outcome,
+                            concurrent,
                         }
                     })
                     .collect()
@@ -1013,6 +1018,7 @@ impl ServerState<'_> {
                     download_bytes: task.download_bytes,
                     upload_bytes,
                     event_idx,
+                    concurrent: task.concurrent,
                 });
             }
 
@@ -1069,10 +1075,13 @@ impl ServerState<'_> {
                     .iter()
                     .map(|b| b.update.realized_flops)
                     .fold(0.0, f64::max);
-                let wall = buffer
-                    .iter()
-                    .map(|b| b.update.wall_secs)
-                    .fold(0.0, f64::max);
+                // The initial wave's fanned-out tasks overlapped each other;
+                // every other task trained alone.
+                let part = |concurrent: bool| {
+                    let walls = buffer.iter().filter(|b| b.concurrent == concurrent);
+                    round_train_wall(walls.map(|b| b.update.wall_secs), concurrent)
+                };
+                let wall = part(true) + part(false);
                 ledger.record_realized_round(realized, wall);
                 ledger.record_sim_round(self.clock.now() - last_agg_secs);
                 last_agg_secs = self.clock.now();
@@ -1138,6 +1147,7 @@ impl ServerState<'_> {
                 download_bytes: down,
                 ctx: ctx.clone(),
                 outcome,
+                concurrent: false,
             });
 
             // Post-aggregation boundary: the buffer is empty and the fleet
@@ -1211,6 +1221,9 @@ struct InFlight {
     /// every other task launched under the same mask.
     ctx: std::sync::Arc<WireCtx>,
     outcome: LocalOutcome,
+    /// Trained in the initial wave's fan-out, overlapping the other
+    /// devices; restarts (and resumed tasks) trained alone.
+    concurrent: bool,
 }
 
 /// One buffered arrival awaiting aggregation.
@@ -1222,6 +1235,8 @@ struct BufferedArrival {
     download_bytes: f64,
     upload_bytes: f64,
     event_idx: usize,
+    /// [`InFlight::concurrent`] of the task it came from.
+    concurrent: bool,
 }
 
 /// Snapshots the buffered event-loop state for a checkpoint.
@@ -1351,6 +1366,69 @@ mod tests {
         }
         fn deliver_update(&mut self, u: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
             u
+        }
+    }
+
+    /// [`InProcess`], recording the summed wall time of the updates each
+    /// exchange returns and of every update delivered one by one.
+    #[derive(Default)]
+    struct WallRecorder {
+        exchanged: Vec<f64>,
+        delivered: f64,
+    }
+    impl Transport for WallRecorder {
+        fn name(&self) -> &'static str {
+            "wall_recorder"
+        }
+        fn is_local(&self) -> bool {
+            true
+        }
+        fn exchange_round(
+            &mut self,
+            req: &mut RoundRequest<'_>,
+        ) -> Result<Vec<Delivery>, TransportError> {
+            let out = InProcess.exchange_round(req)?;
+            let walls = out.iter().filter_map(|d| d.update()).map(|u| u.wall_secs);
+            self.exchanged.push(walls.sum());
+            Ok(out)
+        }
+        fn deliver_update(&mut self, u: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
+            self.delivered += u.wall_secs;
+            u
+        }
+    }
+
+    /// With `cfg.parallel` set but a one-worker runtime the devices train
+    /// one after another, so a round's training wall is the *sum* of its
+    /// devices' wall times, under both the barrier and the buffered loop.
+    #[test]
+    fn sequential_runtime_sums_device_wall_times() {
+        for scheduler in [Scheduler::Synchronous, Scheduler::Buffered { buffer_k: 2 }] {
+            let mut env = ExperimentEnv::tiny_for_tests(5);
+            env.cfg.parallel = true;
+            env.cfg.threads = 1;
+            env.scheduler = scheduler;
+            let mut model = env.build_model(&ModelSpec::small_cnn_test());
+            let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+            let mut ledger = CostLedger::new();
+            let mut transport = WallRecorder::default();
+            run_with(
+                model.as_mut(),
+                &mut mask,
+                &env,
+                0,
+                &mut ledger,
+                &mut no_hook(),
+                RunOptions::new(&mut transport),
+            )
+            .expect("run completes");
+            let devices: f64 = transport.exchanged.iter().sum::<f64>() + transport.delivered;
+            let total = ledger.total_train_wall_secs();
+            assert!(devices > 0.0, "{scheduler:?}: no wall time recorded");
+            assert!(
+                (total - devices).abs() <= 1e-9 * devices,
+                "{scheduler:?}: round walls {total} vs device walls {devices}"
+            );
         }
     }
 

@@ -381,6 +381,26 @@ pub fn train_one_device(
     )
 }
 
+/// Whether `devices` devices of one round train concurrently on `rt`'s
+/// pool: [`train_devices_parallel`] fans out only with the config's
+/// `parallel` flag, more than one device and a runtime with more than one
+/// worker. The server folds device wall times with the same predicate
+/// ([`round_train_wall`]).
+pub(crate) fn devices_fan_out(cfg: &FlConfig, devices: usize, rt: &Runtime) -> bool {
+    cfg.parallel && devices > 1 && rt.is_parallel()
+}
+
+/// Wall time of a round's local training from its devices' wall times:
+/// concurrent devices overlap, so the slowest bounds the round; sequential
+/// ones add up.
+pub(crate) fn round_train_wall(walls: impl Iterator<Item = f64>, concurrent: bool) -> f64 {
+    if concurrent {
+        walls.fold(0.0, f64::max)
+    } else {
+        walls.sum()
+    }
+}
+
 /// Trains every device from the same global model and returns their encoded
 /// updates in device order. When `cfg.parallel`, devices are fanned out over
 /// `rt`'s shared worker pool (bounded by `rt.threads()`, not one unbounded
@@ -414,7 +434,7 @@ pub fn train_devices_parallel(
         "one residual accumulator per device"
     );
     let needs_residual = wire.codec.uses_error_feedback();
-    let fan_out = cfg.parallel && parts.len() > 1 && rt.is_parallel();
+    let fan_out = devices_fan_out(cfg, parts.len(), rt);
     // One thread budget for the whole run: either the devices occupy the
     // pool (kernels inline), or a lone device's kernels do.
     let kernel_rt = if fan_out { Runtime::sequential() } else { *rt };
@@ -470,7 +490,7 @@ pub(crate) fn train_devices_raw_parallel(
     round: usize,
     rt: &Runtime,
 ) -> Vec<LocalOutcome> {
-    let fan_out = cfg.parallel && parts.len() > 1 && rt.is_parallel();
+    let fan_out = devices_fan_out(cfg, parts.len(), rt);
     let kernel_rt = if fan_out { Runtime::sequential() } else { *rt };
     let run_one = |k: usize, data: &Dataset| {
         train_one_device_raw(global, data, mask, cfg, round, k, 0, &kernel_rt)

@@ -7,13 +7,13 @@
 
 use crate::param::{Param, ParamKind};
 use ft_runtime::Runtime;
-use ft_sparse::{BsrMatrix, CsrMatrix};
+use ft_sparse::CsrMatrix;
 use ft_tensor::{
-    avg_pool_global_backward_into, avg_pool_global_into_rt, bsr_dsmm_nt_into_rt, bsr_spmm_into_rt,
-    col2im_batched, conv2d_fused_into_rt, dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt,
-    kaiming_normal, matmul_into_rt, matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt,
-    max_pool2x2_backward_into, max_pool2x2_into_rt, pad_batch, sddmm_nt_seg_into_rt,
-    sddmm_tn_into_rt, spmm_into_rt, spmm_tn_into_rt, ColTable, ConvGeom, Tensor,
+    avg_pool_global_backward_into, avg_pool_global_into_rt, col2im_batched, conv2d_fused_into_rt,
+    dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt, kaiming_normal, matmul_into_rt,
+    matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt, max_pool2x2_backward_into,
+    max_pool2x2_into_rt, pad_batch, sddmm_nt_seg_into_rt, sddmm_tn_into_rt, spmm_into_rt,
+    spmm_tn_into_rt, ColRows, ColTable, ConvGeom, CsrView, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -27,39 +27,63 @@ use serde::{Deserialize, Serialize};
 /// Override per model with [`crate::Model::set_sparse_crossover`].
 pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
 
-/// Tile edge of the block-sparse (BSR) forward packing.
-///
-/// Matches the widest unrolled path of the `ft-tensor` BSR kernels; small
-/// enough that structured masks (whole channels / im2col rows pruned
-/// together) still produce mostly-full tiles.
-pub const BSR_BLOCK: usize = 4;
-
-/// Average tile fill (`nnz / stored`) the forward pass must *strictly
-/// exceed* to be routed through the BSR kernels instead of CSR.
-///
-/// At or below this, the explicit zeros inside partially-alive tiles cost
-/// more flops than the dense tile loops save in index traffic (at fill 0.5
-/// BSR already executes 2× CSR's multiply-accumulates); a scattered
-/// magnitude mask at density `d` has expected fill ≈ `d` and stays on CSR.
-pub const BSR_MIN_FILL: f32 = 0.5;
-
 /// Cached sparse packing of a layer weight, keyed by the mask epoch that
 /// produced its structure.
 ///
 /// The structure is rebuilt only when [`Param::mask_epoch`] changes (a new
 /// mask was applied); between optimizer steps only the values are
-/// re-gathered, which is `O(nnz)` (plus `O(stored)` for the BSR tiles when
-/// present).
+/// re-gathered, which is `O(nnz)`.
 ///
-/// `csr` is always built: the backward pass (scatter/sampled-dense shapes)
-/// stays on it unconditionally. `bsr` is additionally built at rebuild time
-/// when the mask clusters — average tile fill strictly above
-/// [`BSR_MIN_FILL`] — and then takes over the *forward* GEMM only.
+/// Next to the CSR the rebuild records the weight's *live* columns, those
+/// holding at least one stored entry, and the CSR column indices renumbered
+/// to positions in that list. [`SparsePlan::compact`] pairs them with the
+/// CSR's row pointers and values into a `[rows, live.len()]` view, so a
+/// convolution gathers, multiplies and scatters only the column-matrix
+/// rows its weight reads.
 #[derive(Clone, Debug)]
 struct SparsePlan {
     epoch: u64,
     csr: CsrMatrix,
-    bsr: Option<BsrMatrix>,
+    /// Ascending weight columns with at least one stored entry.
+    live: Vec<u32>,
+    /// `csr`'s column indices as positions in `live`.
+    live_idx: Vec<u32>,
+}
+
+impl SparsePlan {
+    /// Plans `csr`, built under mask epoch `epoch`: `O(nnz + cols)`.
+    fn new(epoch: u64, csr: CsrMatrix) -> Self {
+        let mut stored = vec![false; csr.cols()];
+        for &j in csr.col_idx() {
+            stored[j as usize] = true;
+        }
+        let live: Vec<u32> = (0..csr.cols() as u32)
+            .filter(|&j| stored[j as usize])
+            .collect();
+        let mut pos = vec![0u32; csr.cols()];
+        for (k, &j) in live.iter().enumerate() {
+            pos[j as usize] = k as u32;
+        }
+        let live_idx = csr.col_idx().iter().map(|&j| pos[j as usize]).collect();
+        SparsePlan {
+            epoch,
+            csr,
+            live,
+            live_idx,
+        }
+    }
+
+    /// The CSR restricted to its live columns: `[rows, live.len()]`, entry
+    /// for entry the same values in the same order.
+    fn compact(&self) -> CsrView<'_> {
+        CsrView {
+            rows: self.csr.rows(),
+            cols: self.live.len(),
+            row_ptr: self.csr.row_ptr(),
+            col_idx: &self.live_idx,
+            vals: self.csr.vals(),
+        }
+    }
 }
 
 /// Decides the execution path for a weight and keeps `plan` fresh: returns
@@ -84,19 +108,10 @@ fn refresh_plan(
         return false;
     }
     match plan {
-        Some(p) if p.epoch == w.mask_epoch => {
-            p.csr.refresh_values(w.data.data());
-            if let Some(bsr) = &mut p.bsr {
-                bsr.refresh_values(w.data.data());
-            }
-        }
+        Some(p) if p.epoch == w.mask_epoch => p.csr.refresh_values(w.data.data()),
         _ => {
-            let bsr = BsrMatrix::from_mask_values(bits, w.data.data(), rows, cols, BSR_BLOCK);
-            *plan = Some(SparsePlan {
-                epoch: w.mask_epoch,
-                csr: CsrMatrix::from_mask_values(bits, w.data.data(), rows, cols),
-                bsr: (bsr.fill() > BSR_MIN_FILL).then_some(bsr),
-            });
+            let csr = CsrMatrix::from_mask_values(bits, w.data.data(), rows, cols);
+            *plan = Some(SparsePlan::new(w.mask_epoch, csr));
         }
     }
     true
@@ -170,7 +185,8 @@ struct ConvScratch {
     /// `i·cc..(i+1)·cc`. Materialized by the training and sparse forwards;
     /// after an eval forward (which packs B-panels straight out of `xpad`)
     /// a backward call rebuilds it from `xpad`. Once backward's dW kernel
-    /// has read it, it holds the column-space input gradient.
+    /// has read it, it holds the column-space input gradient. On the
+    /// sparse path it holds only the plan's live rows, `[live, n·cc]`.
     cols_b: Tensor,
     /// Forward output staging `[oc, n·cc]` before the NCHW scatter.
     out_b: Tensor,
@@ -289,10 +305,11 @@ impl Conv2d {
     /// Batched forward into a caller-owned output tensor. The whole batch
     /// runs through a single kernel call: the dense path packs B-panels
     /// straight out of the image (implicit GEMM, no column matrix), the
-    /// sparse path materializes the `[cr, n·cc]` column matrix into the
-    /// layer's scratch arena and runs CSR/BSR SpMM over it. Per-output
-    /// accumulation order is a pure function of the k-decomposition, so the
-    /// result is bit-identical to the per-sample composition.
+    /// sparse path materializes the live rows `[live, n·cc]` of the column
+    /// matrix into the layer's scratch arena and runs CSR SpMM over the
+    /// plan's compacted view. Per-output accumulation order is a pure
+    /// function of the k-decomposition, so the result is bit-identical to
+    /// the per-sample composition.
     ///
     /// # Panics
     ///
@@ -317,11 +334,13 @@ impl Conv2d {
         let (cr, cc) = (geom.col_rows(), geom.col_cols());
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let sparse = refresh_plan(&mut self.plan, &self.w, self.crossover, self.out_c, cr);
+        let plan = self.plan.as_ref().filter(|_| sparse);
         out.resize_for_overwrite(&[n, self.out_c, oh, ow]);
         let scratch = &mut self.scratch;
         scratch.out_b.resize_zeroed(&[self.out_c, n * cc]);
         scratch.table.fit(&geom, n);
         let cols_valid = sparse || matches!(mode, Mode::Train);
+        let rows = plan.map_or(ColRows::All, |plan| ColRows::Only(&plan.live));
         if cols_valid {
             // Columns are gathered from the zero-padded copy of the batch —
             // or, without padding, from the batch itself.
@@ -331,34 +350,26 @@ impl Conv2d {
                 pad_batch(x.data(), n, &geom, &mut scratch.xpad);
                 &scratch.xpad
             };
-            scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
+            scratch.cols_b.resize_for_overwrite(&[rows.len(cr), n * cc]);
             im2col_batched_rt(
                 &self.runtime,
                 src,
                 n,
                 &geom,
                 &scratch.table,
+                rows,
                 scratch.cols_b.data_mut(),
             );
         } else {
             pad_batch(x.data(), n, &geom, &mut scratch.xpad);
         }
-        if sparse {
-            let plan = self.plan.as_ref().expect("sparse path always has a plan");
-            match &plan.bsr {
-                Some(bsr) => bsr_spmm_into_rt(
-                    &self.runtime,
-                    bsr.view(),
-                    &scratch.cols_b,
-                    &mut scratch.out_b,
-                ),
-                None => spmm_into_rt(
-                    &self.runtime,
-                    plan.csr.view(),
-                    &scratch.cols_b,
-                    &mut scratch.out_b,
-                ),
-            }
+        if let Some(plan) = plan {
+            spmm_into_rt(
+                &self.runtime,
+                plan.compact(),
+                &scratch.cols_b,
+                &mut scratch.out_b,
+            );
         } else if cols_valid {
             // Training forward materializes the column matrix up front — the
             // backward dW GEMM needs it regardless — and runs a plain batched
@@ -405,11 +416,7 @@ impl Conv2d {
                     .copy_from_slice(&ob[c * n * cc + i * cc..][..cc]);
             }
         }
-        // BSR executes its tiles' explicit zeros, so it counts stored slots.
-        let mac = match &self.plan {
-            Some(plan) if sparse => plan.bsr.as_ref().map_or(plan.csr.nnz(), |b| b.stored()),
-            _ => self.out_c * cr,
-        };
+        let mac = plan.map_or(self.out_c * cr, |plan| plan.csr.nnz());
         self.realized_flops += 2.0 * (n * cc * mac) as f64;
         self.cache = Some(ConvMeta {
             geom,
@@ -498,6 +505,7 @@ impl Conv2d {
                 n,
                 &geom,
                 &scratch.table,
+                ColRows::All,
                 scratch.cols_b.data_mut(),
             );
         }
@@ -505,12 +513,14 @@ impl Conv2d {
         match sparse_plan {
             Some(plan) => {
                 // dW (mask-alive coordinates only) += dY · colᵀ sampled at
-                // the CSR structure, one fresh accumulator per sample.
+                // the CSR structure, one fresh accumulator per sample. The
+                // live-row columns and the compacted view index the same
+                // values as the full ones would.
                 scratch.grad_w_vals.clear();
                 scratch.grad_w_vals.resize(plan.csr.nnz(), 0.0);
                 sddmm_nt_seg_into_rt(
                     &self.runtime,
-                    plan.csr.view(),
+                    plan.compact(),
                     &scratch.gob,
                     &scratch.cols_b,
                     cc,
@@ -518,11 +528,12 @@ impl Conv2d {
                 );
                 if want_gx {
                     // dCol = Wᵀ · dY through the sparse kernel, into the
-                    // column buffer dW no longer needs.
-                    scratch.cols_b.resize_zeroed(&[cr, n * cc]);
+                    // column buffer dW no longer needs. Only live rows: a
+                    // dead row would stay +0.0, which col2im may skip.
+                    scratch.cols_b.resize_zeroed(&[plan.live.len(), n * cc]);
                     spmm_tn_into_rt(
                         &self.runtime,
-                        plan.csr.view(),
+                        plan.compact(),
                         &scratch.gob,
                         &mut scratch.cols_b,
                     );
@@ -570,11 +581,13 @@ impl Conv2d {
         }
         let Some(gx) = gx else { return };
         gx.resize_for_overwrite(&[n, geom.in_c, geom.in_h, geom.in_w]);
+        let rows = sparse_plan.map_or(ColRows::All, |plan| ColRows::Only(&plan.live));
         col2im_batched(
             scratch.cols_b.data(),
             n,
             &geom,
             &scratch.table,
+            rows,
             &mut scratch.xpad,
             gx.data_mut(),
         );
@@ -970,17 +983,16 @@ impl Linear {
             self.in_dim,
         );
         out.resize_zeroed(&[n, self.out_dim]);
-        match &self.plan {
-            // Y += X · Wᵀ with W in CSR (or BSR when the mask clusters).
-            Some(plan) if sparse => match &plan.bsr {
-                Some(bsr) => bsr_dsmm_nt_into_rt(&self.runtime, x, bsr.view(), out),
-                None => dsmm_nt_into_rt(&self.runtime, x, plan.csr.view(), out),
-            },
-            _ => matmul_nt_into_rt(&self.runtime, x, &self.w.data, out),
-        }
         let mac = match &self.plan {
-            Some(plan) if sparse => plan.bsr.as_ref().map_or(plan.csr.nnz(), |b| b.stored()),
-            _ => self.out_dim * self.in_dim,
+            // Y += X · Wᵀ with W in CSR.
+            Some(plan) if sparse => {
+                dsmm_nt_into_rt(&self.runtime, x, plan.csr.view(), out);
+                plan.csr.nnz()
+            }
+            _ => {
+                matmul_nt_into_rt(&self.runtime, x, &self.w.data, out);
+                self.out_dim * self.in_dim
+            }
         };
         self.realized_flops += 2.0 * (n * mac) as f64;
         let od = out.data_mut();
@@ -2046,11 +2058,13 @@ mod tests {
         assert_eq!(l.realized_flops(), 2.0 * 200.0);
     }
 
-    /// Applies a *clustered* mask: the first `keep_rows` weight rows stay
-    /// fully alive, the rest are pruned. Whole BSR tiles end up fully alive
-    /// or fully dead, so the average tile fill is high.
-    fn mask_param_rows(w: &mut Param, cols: usize, keep_rows: usize) {
-        let bits: Vec<bool> = (0..w.len()).map(|i| i / cols < keep_rows).collect();
+    /// Applies a random mask keeping each weight with probability
+    /// `density`, zeroing and recording it like `ft_nn::apply_mask` does.
+    fn mask_param_random(w: &mut Param, density: f64, seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let bits: Vec<bool> = (0..w.len())
+            .map(|_| rng.gen_range(0.0..1.0) < density)
+            .collect();
         for (v, &alive) in w.data.data_mut().iter_mut().zip(bits.iter()) {
             if !alive {
                 *v = 0.0;
@@ -2059,85 +2073,133 @@ mod tests {
         w.note_mask(&bits);
     }
 
-    /// A clustered mask (high tile fill) routes the forward pass through the
-    /// BSR kernels; the output matches the dense reference and the
-    /// realized-FLOPs counter switches to counting stored tile slots.
-    #[test]
-    fn clustered_mask_routes_linear_forward_through_bsr() {
-        let mut rng = rng();
-        let mut l = Linear::new(&mut rng, 16, 8, true, "fc");
-        let mut dense = l.clone();
-        mask_param_rows(&mut l.w, 16, 4);
-        mask_param_rows(&mut dense.w, 16, 4);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[3, 16], 0.0, 1.0);
-        let y = l.forward(&x, Mode::Train);
-        let plan = l.plan.as_ref().expect("sparse plan built");
-        let bsr = plan.bsr.as_ref().expect("clustered mask must engage BSR");
-        assert_eq!(bsr.fill(), 1.0);
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-5);
-        // Block row 0 fully alive (4 rows × 16 cols), block row 1 unstored.
-        assert_eq!(bsr.stored(), 64);
-        assert_eq!(l.realized_flops(), 2.0 * 3.0 * 64.0);
-        // A scattered mask at the same density must stay on CSR.
-        let mut scattered = Linear::new(&mut rng, 16, 8, true, "fc");
-        mask_param(&mut scattered.w, 2);
-        let _ = scattered.forward(&x, Mode::Train);
-        let plan = scattered.plan.as_ref().expect("sparse plan built");
-        assert!(plan.bsr.is_none(), "scattered mask must not engage BSR");
-    }
-
-    #[test]
-    fn clustered_mask_routes_conv_forward_through_bsr() {
-        let mut rng = rng();
-        let mut c = Conv2d::new(&mut rng, 2, 8, 3, 1, 1, true, "c");
-        let mut dense = c.clone();
-        let cr = 2 * 3 * 3;
-        mask_param_rows(&mut c.w, cr, 4);
-        mask_param_rows(&mut dense.w, cr, 4);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[2, 2, 6, 6], 0.0, 1.0);
-        let y = c.forward(&x, Mode::Train);
-        let plan = c.plan.as_ref().expect("sparse plan built");
-        assert!(
-            plan.bsr.is_some(),
-            "clustered conv mask must engage BSR (fill {})",
-            BsrMatrix::from_mask_values(
-                c.w.mask_bits.as_ref().unwrap(),
-                c.w.data.data(),
-                8,
-                cr,
-                BSR_BLOCK,
-            )
-            .fill()
-        );
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-4);
-        // Backward stays on CSR and still matches the dense gradients at
-        // alive coordinates.
-        let go = Tensor::ones(&[2, 8, 6, 6]);
-        let gx = c.backward(&go);
-        let gxd = dense.backward(&go);
-        assert_close(gx.data(), gxd.data(), 1e-4);
-    }
-
-    /// `refresh_plan` keeps the BSR values in sync with optimizer updates
-    /// between mask epochs (structure reused, values re-gathered).
-    #[test]
-    fn bsr_plan_refreshes_values_between_epochs() {
-        let mut rng = rng();
-        let mut l = Linear::new(&mut rng, 8, 8, true, "fc");
-        mask_param_rows(&mut l.w, 8, 4);
-        let x = Tensor::ones(&[1, 8]);
-        let _ = l.forward(&x, Mode::Train);
-        assert!(l.plan.as_ref().unwrap().bsr.is_some());
-        // Simulate an optimizer step on alive weights.
-        for v in l.w.data.data_mut().iter_mut() {
-            *v *= 2.0;
+    /// One sparse training step of `c` composed from the kernels over the
+    /// *uncompacted* CSR of its masked weight: full-row im2col, SpMM, the
+    /// segmented SDDMM, a full `[cr, n·cc]` dCol (dead rows stay +0.0) and
+    /// full-row col2im. Returns `(out, gx, w.grad after the step)`.
+    fn uncompacted_sparse_step(c: &Conv2d, x: &Tensor, go: &Tensor) -> [Vec<f32>; 3] {
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let g = ConvGeom {
+            in_c: c.in_c,
+            in_h: h,
+            in_w: w,
+            kernel: c.kernel,
+            stride: c.stride,
+            pad: c.pad,
+        };
+        let (cr, cc, oc) = (g.col_rows(), g.col_cols(), c.out_c);
+        let bits = c.w.mask_bits.as_ref().expect("masked");
+        let csr = CsrMatrix::from_mask_values(bits, c.w.data.data(), oc, cr);
+        let rt = Runtime::sequential();
+        let mut tab = ColTable::default();
+        tab.fit(&g, n);
+        let mut xp = Vec::new();
+        pad_batch(x.data(), n, &g, &mut xp);
+        let mut cols = Tensor::zeros(&[cr, n * cc]);
+        im2col_batched_rt(&rt, &xp, n, &g, &tab, ColRows::All, cols.data_mut());
+        let mut out_b = Tensor::zeros(&[oc, n * cc]);
+        spmm_into_rt(&rt, csr.view(), &cols, &mut out_b);
+        let (mut out, mut gob) = (vec![0.0; n * oc * cc], Tensor::zeros(&[oc, n * cc]));
+        for i in 0..n {
+            for ch in 0..oc {
+                let (nchw, batched) = ((i * oc + ch) * cc, ch * n * cc + i * cc);
+                out[nchw..nchw + cc].copy_from_slice(&out_b.data()[batched..batched + cc]);
+                gob.data_mut()[batched..batched + cc].copy_from_slice(&go.data()[nchw..nchw + cc]);
+            }
         }
-        let y = l.forward(&x, Mode::Train);
-        let mut dense = l.clone();
-        dense.set_sparse_crossover(0.0);
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-5);
+        let mut vals = vec![0.0; csr.nnz()];
+        sddmm_nt_seg_into_rt(&rt, csr.view(), &gob, &cols, cc, &mut vals);
+        let mut grad = c.w.grad.data().to_vec();
+        csr.scatter_add(&vals, &mut grad);
+        let mut dcol = Tensor::zeros(&[cr, n * cc]);
+        spmm_tn_into_rt(&rt, csr.view(), &gob, &mut dcol);
+        let mut gx = vec![f32::NAN; x.data().len()];
+        col2im_batched(
+            dcol.data(),
+            n,
+            &g,
+            &tab,
+            ColRows::All,
+            &mut Vec::new(),
+            &mut gx,
+        );
+        [out, gx, grad]
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The live-row sparse conv (compacted columns, compacted dCol, live-row
+    /// col2im) is bit-identical in output, input gradient and weight
+    /// gradient to the same step over the uncompacted CSR: across
+    /// geometries, for a fully pruned layer, and across a mask change
+    /// between batches (which rebuilds the live list).
+    #[test]
+    fn conv_live_row_plan_is_bit_identical_to_uncompacted_csr() {
+        let mut rng = rng();
+        let cases = [
+            (3usize, 4usize, 3usize, 1usize, 1usize, 6usize),
+            (4, 5, 1, 2, 0, 5),
+            (2, 3, 3, 2, 2, 4),
+            (8, 8, 3, 1, 1, 1),
+        ];
+        for (case, &(in_c, out_c, k, stride, pad, side)) in cases.iter().enumerate() {
+            let mut c = Conv2d::new(&mut rng, in_c, out_c, k, stride, pad, true, "c");
+            c.set_sparse_crossover(1.0);
+            for (batch, density) in [0.15f64, 0.0, 0.3, 0.15].into_iter().enumerate() {
+                mask_param_random(&mut c.w, density, (case * 10 + batch) as u64);
+                let x = ft_tensor::normal(&mut rng, &[3, in_c, side, side], 0.0, 1.0);
+                let g = ConvGeom {
+                    in_c,
+                    in_h: side,
+                    in_w: side,
+                    kernel: k,
+                    stride,
+                    pad,
+                };
+                let go = ft_tensor::normal(&mut rng, &[3, out_c, g.out_h(), g.out_w()], 0.0, 1.0);
+                let [out, gx, grad] = uncompacted_sparse_step(&c, &x, &go);
+                let y = c.forward(&x, Mode::Train);
+                let plan = c.plan.as_ref().expect("sparse plan");
+                assert_eq!(plan.compact().nnz(), plan.csr.nnz());
+                if density == 0.0 {
+                    assert!(
+                        plan.live.is_empty(),
+                        "a fully pruned layer has no live rows"
+                    );
+                }
+                let got_gx = c.backward(&go);
+                let tag = format!("case {case} batch {batch} (live {})", plan_live(&c));
+                assert_eq!(bits_of(y.data()), bits_of(&out), "out {tag}");
+                assert_eq!(bits_of(got_gx.data()), bits_of(&gx), "gx {tag}");
+                assert_eq!(bits_of(c.w.grad.data()), bits_of(&grad), "dW {tag}");
+            }
+        }
+    }
+
+    fn plan_live(c: &Conv2d) -> usize {
+        c.plan.as_ref().map_or(0, |p| p.live.len())
+    }
+
+    /// The live list holds exactly the columns with a stored entry, in
+    /// ascending order, and the compacted indices point back at them.
+    #[test]
+    fn sparse_plan_live_columns_index_the_csr() {
+        let bits = [
+            false, true, false, false, true, //
+            false, false, false, false, true, //
+            false, true, false, false, false,
+        ];
+        let vals: Vec<f32> = (0..15).map(|i| i as f32).collect();
+        let plan = SparsePlan::new(0, CsrMatrix::from_mask_values(&bits, &vals, 3, 5));
+        assert_eq!(plan.live, vec![1, 4]);
+        assert_eq!(plan.live_idx, vec![0, 1, 1, 0]);
+        let view = plan.compact();
+        assert_eq!((view.rows, view.cols), (3, 2));
+        for (&k, &j) in plan.live_idx.iter().zip(plan.csr.col_idx()) {
+            assert_eq!(plan.live[k as usize], j);
+        }
     }
 
     #[test]

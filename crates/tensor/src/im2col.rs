@@ -18,6 +18,11 @@
 //! sample 0. [`col2im_batched`] runs the same table backwards as a
 //! scatter-add.
 //!
+//! Both kernels take a [`ColRows`] row selection. A dense layer passes
+//! [`ColRows::All`]; a sparse layer passes the ascending list of weight
+//! columns that hold at least one stored entry, so it gathers, and later
+//! scatters back, only the column rows its sparse weight reads.
+//!
 //! [`conv2d_fused_into_rt`] never materializes the column matrix at all: its
 //! implicit-GEMM pack source gathers through the same table straight into
 //! the GEMM's packed `B` panels, byte-identical to packing a materialized
@@ -210,6 +215,62 @@ impl ColTable {
     }
 }
 
+/// The column-matrix rows an [`im2col_batched_rt`] or [`col2im_batched`]
+/// call works on.
+#[derive(Clone, Copy, Debug)]
+pub enum ColRows<'a> {
+    /// Every row `0..col_rows`, in order: the full column matrix.
+    All,
+    /// Only the listed rows, strictly ascending: row `k` of the compacted
+    /// column matrix is row `rows[k]` of the full one.
+    Only(&'a [u32]),
+}
+
+impl<'a> ColRows<'a> {
+    /// Rows selected out of a full column matrix of `full` rows.
+    pub fn len(&self, full: usize) -> usize {
+        match self {
+            ColRows::All => full,
+            ColRows::Only(rows) => rows.len(),
+        }
+    }
+
+    /// `(channel, tap)` of each compacted row in `range`, in order, for
+    /// `taps` kernel taps per channel. Consecutive rows step the pair, so
+    /// only a gap in the selection costs a division.
+    #[inline(always)]
+    fn taps(self, range: Range<usize>, taps: usize) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let (mut next, mut c, mut tap) = (0, 0, 0);
+        range.map(move |k| {
+            let r = match self {
+                ColRows::All => k,
+                ColRows::Only(rows) => rows[k] as usize,
+            };
+            if r != next {
+                (c, tap) = (r / taps, r % taps);
+            }
+            next = r + 1;
+            let at = (c, tap);
+            tap += 1;
+            if tap == taps {
+                (c, tap) = (c + 1, 0);
+            }
+            at
+        })
+    }
+
+    /// Checks that the selection is strictly ascending and below `full`.
+    fn check(&self, full: usize) {
+        if let ColRows::Only(rows) = self {
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1])
+                    && rows.last().is_none_or(|&r| (r as usize) < full),
+                "ColRows must ascend strictly below {full}"
+            );
+        }
+    }
+}
+
 /// Visits the rows of the padded-batch interior (one per `(sample,
 /// channel, y)`, in order): `f(padded_start, row_index)`.
 #[inline(always)]
@@ -267,24 +328,28 @@ pub fn pad_batch(x: &[f32], n: usize, g: &ConvGeom, xp: &mut Vec<f32>) {
 }
 
 /// Unfolds a zero-padded batch `xp` (see [`pad_batch`]; with `pad == 0`,
-/// the batch itself) into the batched column matrix `out`
-/// `[col_rows, n · col_cols]`, with the rows fanned out over `rt`'s workers.
-/// Every element is a pure copy of an input value or of a padding zero, so
-/// the result is byte-identical at any thread count.
+/// the batch itself) into the rows `rows` of the batched column matrix:
+/// `out` is `[rows.len(col_rows), n · col_cols]`, with the rows fanned out
+/// over `rt`'s workers. Every element is a pure copy of an input value or
+/// of a padding zero, so the result is byte-identical at any thread count,
+/// and a selected row is byte-identical to the same row of the full matrix.
 ///
 /// # Panics
 ///
-/// Panics if `tab` is not fitted to `g` and `n`, or on a length mismatch.
+/// Panics if `tab` is not fitted to `g` and `n`, if `rows` is not strictly
+/// ascending below `col_rows`, or on a length mismatch.
 pub fn im2col_batched_rt(
     rt: &Runtime,
     xp: &[f32],
     n: usize,
     g: &ConvGeom,
     tab: &ColTable,
+    rows: ColRows<'_>,
     out: &mut [f32],
 ) {
     tab.check(g, n);
-    let (rows, ncc) = (g.col_rows(), n * g.col_cols());
+    rows.check(g.col_rows());
+    let (nrows, ncc) = (rows.len(g.col_rows()), n * g.col_cols());
     assert_eq!(
         xp.len(),
         n * g.padded_len(),
@@ -292,42 +357,39 @@ pub fn im2col_batched_rt(
     );
     assert_eq!(
         out.len(),
-        rows * ncc,
+        nrows * ncc,
         "im2col_batched output length mismatch"
     );
     if ncc == 0 {
         return;
     }
-    if !rt.should_parallelize(out.len()) || rows <= 1 {
-        return gather_rows(xp, n, g, tab, 0..rows, out);
+    if !rt.should_parallelize(out.len()) || nrows <= 1 {
+        return gather_rows(xp, n, g, tab, rows, 0..nrows, out);
     }
     let jobs = rt.split_rows_mut(out, ncc);
     rt.scatter(jobs, |(range, chunk)| {
-        gather_rows(xp, n, g, tab, range, chunk);
+        gather_rows(xp, n, g, tab, rows, range, chunk);
     });
 }
 
-/// Gathers the column-matrix rows `rows`; `chunk` holds exactly those rows.
+/// Gathers the compacted column-matrix rows `range` of the selection
+/// `rows`; `chunk` holds exactly those rows.
 fn gather_rows(
     xp: &[f32],
     n: usize,
     g: &ConvGeom,
     tab: &ColTable,
-    rows: Range<usize>,
+    rows: ColRows<'_>,
+    range: Range<usize>,
     chunk: &mut [f32],
 ) {
     let (taps, (hp, wp)) = (g.kernel * g.kernel, g.padded_hw());
     let ncc = n * tab.cc;
-    let (mut c, mut tap) = (rows.start / taps, rows.start % taps);
-    for dst in chunk.chunks_exact_mut(ncc) {
+    for ((c, tap), dst) in rows.taps(range, taps).zip(chunk.chunks_exact_mut(ncc)) {
         let plane = &xp[c * hp * wp..];
         tab.runs(tap, 0..ncc, |base, offs, at| {
             gather(&plane[base..], offs, &mut dst[at..at + offs.len()]);
         });
-        tap += 1;
-        if tap == taps {
-            (c, tap) = (c + 1, 0);
-        }
     }
 }
 
@@ -394,10 +456,10 @@ fn scatter_each(src: &[f32], offs: &[u32], dst: &mut [f32]) {
     }
 }
 
-/// Folds a batched column-space gradient `dcol` (`[col_rows, n · col_cols]`)
-/// back into image space, *overwriting* `gx` (`[n, in_c, in_h, in_w]`
-/// flat): the adjoint of [`im2col_batched_rt`], used for the convolution
-/// input gradient.
+/// Folds the rows `rows` of a batched column-space gradient back into image
+/// space, *overwriting* `gx` (`[n, in_c, in_h, in_w]` flat): the adjoint of
+/// [`im2col_batched_rt`], used for the convolution input gradient. `dcol`
+/// is `[rows.len(col_rows), n · col_cols]`.
 ///
 /// Rows are scatter-added through the table in ascending order into `acc`,
 /// a zeroed padded batch (resized in place), whose interior is then copied
@@ -406,22 +468,31 @@ fn scatter_each(src: &[f32], offs: &[u32], dst: &mut [f32]) {
 /// its taps' contributions in ascending row order — the accumulation order
 /// of the scalar per-sample definition, hence bit-identical to it.
 ///
+/// Leaving out a row is the same as folding it in as all `+0.0`: an
+/// accumulator that starts at `+0.0` never becomes `-0.0` (a sum is `-0.0`
+/// only when both addends are), and adding `+0.0` to anything else changes
+/// no bit. So a compacted `dcol` whose omitted rows would have been `+0.0`
+/// folds bit-identically to the full one.
+///
 /// # Panics
 ///
-/// Panics if `tab` is not fitted to `g` and `n`, or on a length mismatch.
+/// Panics if `tab` is not fitted to `g` and `n`, if `rows` is not strictly
+/// ascending below `col_rows`, or on a length mismatch.
 pub fn col2im_batched(
     dcol: &[f32],
     n: usize,
     g: &ConvGeom,
     tab: &ColTable,
+    rows: ColRows<'_>,
     acc: &mut Vec<f32>,
     gx: &mut [f32],
 ) {
     tab.check(g, n);
-    let (rows, ncc) = (g.col_rows(), n * g.col_cols());
+    rows.check(g.col_rows());
+    let ncc = n * g.col_cols();
     assert_eq!(
         dcol.len(),
-        rows * ncc,
+        rows.len(g.col_rows()) * ncc,
         "col2im_batched input length mismatch"
     );
     assert_eq!(
@@ -431,35 +502,38 @@ pub fn col2im_batched(
     );
     if g.pad == 0 {
         gx.fill(0.0);
-        return scatter_rows(dcol, n, g, tab, gx);
+        return scatter_rows(dcol, n, g, tab, rows, gx);
     }
     acc.clear();
     acc.resize(n * g.padded_len(), 0.0);
-    scatter_rows(dcol, n, g, tab, acc);
+    scatter_rows(dcol, n, g, tab, rows, acc);
     let w = g.in_w;
     interior_rows(gx.len() / w, g, |at, r| {
         copy_row(&mut gx[r * w..(r + 1) * w], &acc[at..at + w]);
     });
 }
 
-/// Scatter-adds every row of `dcol` into the padded batch `acc`, rows in
-/// ascending order.
-fn scatter_rows(dcol: &[f32], n: usize, g: &ConvGeom, tab: &ColTable, acc: &mut [f32]) {
+/// Scatter-adds every row of the compacted `dcol` into the padded batch
+/// `acc` at its full-matrix row, rows in ascending order.
+fn scatter_rows(
+    dcol: &[f32],
+    n: usize,
+    g: &ConvGeom,
+    tab: &ColTable,
+    rows: ColRows<'_>,
+    acc: &mut [f32],
+) {
     let (taps, (hp, wp)) = (g.kernel * g.kernel, g.padded_hw());
     let ncc = n * tab.cc;
     if ncc == 0 {
         return;
     }
-    let (mut c, mut tap) = (0, 0);
-    for src in dcol.chunks_exact(ncc) {
+    let srcs = dcol.chunks_exact(ncc);
+    for ((c, tap), src) in rows.taps(0..srcs.len(), taps).zip(srcs) {
         let plane = &mut acc[c * hp * wp..];
         tab.runs(tap, 0..ncc, |base, offs, at| {
             scatter_add(&src[at..], offs, &mut plane[base..]);
         });
-        tap += 1;
-        if tap == taps {
-            (c, tap) = (c + 1, 0);
-        }
     }
 }
 
@@ -677,7 +751,7 @@ mod tests {
         let mut xp = Vec::new();
         pad_batch(x, n, g, &mut xp);
         let mut out = vec![f32::NAN; g.col_rows() * n * g.col_cols()];
-        im2col_batched_rt(rt, &xp, n, g, &tab, &mut out);
+        im2col_batched_rt(rt, &xp, n, g, &tab, ColRows::All, &mut out);
         out
     }
 
@@ -686,12 +760,45 @@ mod tests {
         let mut tab = ColTable::default();
         tab.fit(g, n);
         let mut gx = vec![f32::NAN; n * g.in_c * g.in_h * g.in_w];
-        col2im_batched(dcol, n, g, &tab, &mut Vec::new(), &mut gx);
+        col2im_batched(dcol, n, g, &tab, ColRows::All, &mut Vec::new(), &mut gx);
         gx
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs the table-driven im2col over the row selection `live` with
+    /// fresh scratch.
+    fn unfold_live(rt: &Runtime, x: &[f32], n: usize, g: &ConvGeom, live: &[u32]) -> Vec<f32> {
+        let mut tab = ColTable::default();
+        tab.fit(g, n);
+        let mut xp = Vec::new();
+        pad_batch(x, n, g, &mut xp);
+        let mut out = vec![f32::NAN; live.len() * n * g.col_cols()];
+        im2col_batched_rt(rt, &xp, n, g, &tab, ColRows::Only(live), &mut out);
+        out
+    }
+
+    /// The rows `live` of a row-major matrix whose rows are `ncc` long.
+    fn pick_rows(full: &[f32], ncc: usize, live: &[u32]) -> Vec<f32> {
+        live.iter()
+            .flat_map(|&r| &full[r as usize * ncc..(r as usize + 1) * ncc])
+            .copied()
+            .collect()
+    }
+
+    /// A row selection out of `rows`: every row, none, or each row kept
+    /// with probability 1/2 (by `seed`).
+    fn live_rows(rows: usize, pick: usize, seed: u64) -> Vec<u32> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..rows as u32)
+            .filter(|_| match pick {
+                0 => true,
+                1 => false,
+                _ => rng.gen_range(0u32..2) == 0,
+            })
+            .collect()
     }
 
     /// Kernel 1–3, stride 1–3, pad 0–2, odd sides 1–11, `in_c` 1–5.
@@ -773,6 +880,93 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// im2col over a row selection (all rows, none, or a random subset)
+        /// is byte-identical to the selected rows of the full matrix.
+        #[test]
+        fn im2col_live_rows_match_full_rows(
+            g in geom_strategy(),
+            b in 0usize..3,
+            pick in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(fits(&g));
+            let n = BATCHES[b];
+            let live = live_rows(g.col_rows(), pick, seed + 7);
+            let x = signed_zero_vec(n * g.in_c * g.in_h * g.in_w, seed);
+            let rt = Runtime::sequential();
+            let full = unfold(&rt, &x, n, &g);
+            prop_assert_eq!(
+                bits(&unfold_live(&rt, &x, n, &g, &live)),
+                bits(&pick_rows(&full, n * g.col_cols(), &live)),
+                "{:?} n={} live={:?}", g, n, live
+            );
+        }
+
+        /// col2im of a compacted gradient (live rows only, with signed
+        /// zeros) is byte-identical to col2im of the full gradient whose
+        /// other rows are `+0.0`.
+        #[test]
+        fn col2im_live_rows_match_full_with_zero_rows(
+            g in geom_strategy(),
+            b in 0usize..3,
+            pick in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(fits(&g));
+            let n = BATCHES[b];
+            let ncc = n * g.col_cols();
+            let live = live_rows(g.col_rows(), pick, seed + 7);
+            let compact = signed_zero_vec(live.len() * ncc, seed);
+            let mut full = vec![0.0f32; g.col_rows() * ncc];
+            for (k, &r) in live.iter().enumerate() {
+                full[r as usize * ncc..][..ncc].copy_from_slice(&compact[k * ncc..][..ncc]);
+            }
+            let mut tab = ColTable::default();
+            tab.fit(&g, n);
+            let mut gx = vec![f32::NAN; n * g.in_c * g.in_h * g.in_w];
+            col2im_batched(&compact, n, &g, &tab, ColRows::Only(&live), &mut Vec::new(), &mut gx);
+            prop_assert_eq!(bits(&gx), bits(&fold(&full, n, &g)), "{:?} n={} live={:?}", g, n, live);
+        }
+
+        /// Parallel im2col over a row selection is byte-identical to the
+        /// sequential form.
+        #[test]
+        fn rt_im2col_live_rows_matches_sequential(
+            g in geom_strategy(),
+            b in 0usize..3,
+            pick in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(fits(&g));
+            let n = BATCHES[b];
+            let live = live_rows(g.col_rows(), pick, seed + 7);
+            let x = signed_zero_vec(n * g.in_c * g.in_h * g.in_w, seed);
+            let seq = unfold_live(&Runtime::sequential(), &x, n, &g, &live);
+            for threads in [2usize, 4, 64] {
+                let rt = Runtime::exact(threads).with_min_work(0);
+                let par = unfold_live(&rt, &x, n, &g, &live);
+                prop_assert_eq!(bits(&par), bits(&seq), "threads={}", threads);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ColRows must ascend")]
+    fn unsorted_row_selection_is_rejected() {
+        let g = ConvGeom {
+            in_c: 2,
+            in_h: 3,
+            in_w: 3,
+            kernel: 1,
+            stride: 1,
+            pad: 0,
+        };
+        let _ = unfold_live(&Runtime::sequential(), &[0.0; 18], 1, &g, &[1, 0]);
+    }
+
     #[test]
     fn geometry() {
         let g = ConvGeom {
@@ -828,7 +1022,15 @@ mod tests {
         let mut tab = ColTable::default();
         tab.fit(&g, 2);
         let mut out = vec![0.0; g.col_rows() * 3 * g.col_cols()];
-        im2col_batched_rt(&Runtime::sequential(), &[0.0; 75], 3, &g, &tab, &mut out);
+        im2col_batched_rt(
+            &Runtime::sequential(),
+            &[0.0; 75],
+            3,
+            &g,
+            &tab,
+            ColRows::All,
+            &mut out,
+        );
     }
 
     #[test]
@@ -910,14 +1112,14 @@ mod tests {
             let x = signed_zero_vec(n * g.in_c * g.in_h * g.in_w, 500 + step as u64);
             pad_batch(&x, n, &g, &mut xp);
             let mut cols = vec![f32::NAN; g.col_rows() * n * g.col_cols()];
-            im2col_batched_rt(&rt, &xp, n, &g, &tab, &mut cols);
+            im2col_batched_rt(&rt, &xp, n, &g, &tab, ColRows::All, &mut cols);
             assert_eq!(
                 bits(&cols),
                 bits(&ref_im2col(&x, n, &g)),
                 "im2col step {step}"
             );
             let mut gx = vec![f32::NAN; x.len()];
-            col2im_batched(&cols, n, &g, &tab, &mut acc, &mut gx);
+            col2im_batched(&cols, n, &g, &tab, ColRows::All, &mut acc, &mut gx);
             assert_eq!(
                 bits(&gx),
                 bits(&ref_col2im(&cols, n, &g)),

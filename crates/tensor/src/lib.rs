@@ -13,7 +13,7 @@
 //!   behaviour of mainstream array libraries: shape errors are programming
 //!   errors, not recoverable conditions.
 //! - Everything is deterministic given a seeded RNG; all experiment code in
-//!   the workspace threads [`rand_chacha::ChaCha8Rng`] seeds through.
+//!   the workspace threads `rand_chacha::ChaCha8Rng` seeds through.
 //!
 //! # Examples
 //!
@@ -26,7 +26,6 @@
 //! assert_eq!(c, a);
 //! ```
 
-mod bsr;
 mod im2col;
 mod init;
 mod matmul;
@@ -37,11 +36,10 @@ mod quant;
 mod spmm;
 mod tensor;
 
-pub use bsr::{bsr_dsmm_nt_into, bsr_dsmm_nt_into_rt, bsr_spmm_into, bsr_spmm_into_rt, BsrView};
 pub use ft_runtime::Runtime;
 pub use im2col::{
-    col2im_batched, conv2d_direct, conv2d_fused_into_rt, im2col_batched_rt, pad_batch, ColTable,
-    ConvGeom,
+    col2im_batched, conv2d_direct, conv2d_fused_into_rt, im2col_batched_rt, pad_batch, ColRows,
+    ColTable, ConvGeom,
 };
 pub use init::{kaiming_normal, normal, uniform, xavier_uniform};
 pub use matmul::{

@@ -520,7 +520,7 @@ fn dsmm_nt_rows(ad: &[f32], s: CsrView<'_>, k: usize, rows: Range<usize>, cchunk
 /// not have one slot per stored entry.
 pub fn sddmm_nt_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
     let c = check_sddmm_nt(&s, a, b, vals);
-    sddmm_nt_rows(s, a.data(), b.data(), c, 0..s.rows, vals);
+    sddmm_nt_seg_rows(s, a.data(), b.data(), (c, 1), 0..s.rows, vals);
 }
 
 /// [`sddmm_nt_into`] with the CSR rows fanned out over `rt`'s workers (the
@@ -532,14 +532,7 @@ pub fn sddmm_nt_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
 /// Panics on the same shape mismatches as [`sddmm_nt_into`].
 pub fn sddmm_nt_into_rt(rt: &Runtime, s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
     let c = check_sddmm_nt(&s, a, b, vals);
-    if !rt.should_parallelize(s.nnz().saturating_mul(c)) || s.rows <= 1 {
-        return sddmm_nt_rows(s, a.data(), b.data(), c, 0..s.rows, vals);
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_at_offsets_mut(vals, s.rows, |r| s.row_ptr[r]);
-    rt.scatter(jobs, |(rows, chunk)| {
-        sddmm_nt_rows(s, ad, bd, c, rows, chunk);
-    });
+    sddmm_nt_segs_rt(rt, s, a.data(), b.data(), (c, 1), vals);
 }
 
 /// Segmented [`sddmm_nt_into`]: the dot product for every stored coordinate
@@ -559,7 +552,7 @@ pub fn sddmm_nt_seg_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, seg: usize, val
         seg > 0 && c.is_multiple_of(seg),
         "sddmm_nt_seg: segment {seg} must divide c={c}"
     );
-    sddmm_nt_seg_rows(s, a.data(), b.data(), c, seg, 0..s.rows, vals);
+    sddmm_nt_seg_rows(s, a.data(), b.data(), (seg, c / seg), 0..s.rows, vals);
 }
 
 /// [`sddmm_nt_seg_into`] with the CSR rows fanned out over `rt`'s workers.
@@ -581,43 +574,89 @@ pub fn sddmm_nt_seg_into_rt(
         seg > 0 && c.is_multiple_of(seg),
         "sddmm_nt_seg: segment {seg} must divide c={c}"
     );
+    sddmm_nt_segs_rt(rt, s, a.data(), b.data(), (seg, c / seg), vals);
+}
+
+/// The `_rt` fan-out shared by both NT entry points: CSR rows split at
+/// `row_ptr` boundaries of `vals`.
+fn sddmm_nt_segs_rt(
+    rt: &Runtime,
+    s: CsrView<'_>,
+    ad: &[f32],
+    bd: &[f32],
+    segs: (usize, usize),
+    vals: &mut [f32],
+) {
+    let c = segs.0 * segs.1;
     if !rt.should_parallelize(s.nnz().saturating_mul(c)) || s.rows <= 1 {
-        return sddmm_nt_seg_rows(s, a.data(), b.data(), c, seg, 0..s.rows, vals);
+        return sddmm_nt_seg_rows(s, ad, bd, segs, 0..s.rows, vals);
     }
-    let (ad, bd) = (a.data(), b.data());
     let jobs = rt.split_at_offsets_mut(vals, s.rows, |r| s.row_ptr[r]);
     rt.scatter(jobs, |(rows, chunk)| {
-        sddmm_nt_seg_rows(s, ad, bd, c, seg, rows, chunk);
+        sddmm_nt_seg_rows(s, ad, bd, segs, rows, chunk);
     });
 }
 
-/// Segmented sampled NT product over the CSR-row range `rows`: per stored
-/// entry, one fresh-accumulator dot per `seg`-wide segment, ascending —
-/// exactly the op sequence of per-segment [`sddmm_nt_rows`] calls.
+/// Sampled NT product over the CSR-row range `rows`, with the inner
+/// dimension `c = seg · count` taken as `count` segments of `seg` columns
+/// (`segs = (seg, count)`; the unsegmented kernel is one segment of `c`).
+/// `vals_chunk` holds exactly the stored entries of those rows.
+///
+/// Every stored entry runs the op sequence of the one-entry definition:
+/// per segment, ascending, a fresh `+0.0` accumulator takes `acc += a · b`
+/// (mul then add, never fused) column by column, then `val += acc`. The
+/// kernel consumes a row's entries four at a time, interleaving their four
+/// independent chains so they hide each other's add latency and share one
+/// read of the `A` row; a one-entry tail handles the rest. No chain's
+/// operations or their order change, so the result is bit-identical to the
+/// one-entry loop.
 fn sddmm_nt_seg_rows(
     s: CsrView<'_>,
     ad: &[f32],
     bd: &[f32],
-    c: usize,
-    seg: usize,
+    (seg, count): (usize, usize),
     rows: Range<usize>,
     vals_chunk: &mut [f32],
 ) {
+    let c = seg * count;
+    let brow = |j: u32| &bd[j as usize * c..(j as usize + 1) * c];
     let base = s.row_ptr[rows.start];
     for r in rows {
         let arow = &ad[r * c..(r + 1) * c];
         let range = s.row_ptr[r]..s.row_ptr[r + 1];
-        let local = range.start - base..range.end - base;
-        for (&j, val) in s.col_idx[range].iter().zip(&mut vals_chunk[local]) {
-            let brow = &bd[j as usize * c..(j as usize + 1) * c];
-            let mut off = 0usize;
-            while off < c {
+        let vals = &mut vals_chunk[range.start - base..range.end - base];
+        let mut quads = s.col_idx[range].chunks_exact(4);
+        let mut val_quads = vals.chunks_exact_mut(4);
+        for (j, val) in (&mut quads).zip(&mut val_quads) {
+            let (b0, b1, b2, b3) = (brow(j[0]), brow(j[1]), brow(j[2]), brow(j[3]));
+            for off in (0..count).map(|k| k * seg) {
+                let span = off..off + seg;
+                let mut acc = [0.0f32; 4];
+                for ((((&av, &x0), &x1), &x2), &x3) in arow[span.clone()]
+                    .iter()
+                    .zip(&b0[span.clone()])
+                    .zip(&b1[span.clone()])
+                    .zip(&b2[span.clone()])
+                    .zip(&b3[span])
+                {
+                    acc[0] += av * x0;
+                    acc[1] += av * x1;
+                    acc[2] += av * x2;
+                    acc[3] += av * x3;
+                }
+                for (v, a) in val.iter_mut().zip(acc) {
+                    *v += a;
+                }
+            }
+        }
+        for (&j, val) in quads.remainder().iter().zip(val_quads.into_remainder()) {
+            let b = brow(j);
+            for off in (0..count).map(|k| k * seg) {
                 let mut acc = 0.0f32;
-                for (&av, &bv) in arow[off..off + seg].iter().zip(brow[off..off + seg].iter()) {
+                for (&av, &bv) in arow[off..off + seg].iter().zip(&b[off..off + seg]) {
                     acc += av * bv;
                 }
                 *val += acc;
-                off += seg;
             }
         }
     }
@@ -632,32 +671,6 @@ fn check_sddmm_nt(s: &CsrView<'_>, a: &Tensor, b: &Tensor, vals: &[f32]) -> usiz
     assert_eq!(k, s.cols, "sddmm_nt col count mismatch");
     assert_eq!(vals.len(), s.nnz(), "sddmm_nt output slot count mismatch");
     c
-}
-
-/// Sampled NT product over the CSR-row range `rows`; `vals_chunk` holds
-/// exactly the stored entries of those rows.
-fn sddmm_nt_rows(
-    s: CsrView<'_>,
-    ad: &[f32],
-    bd: &[f32],
-    c: usize,
-    rows: Range<usize>,
-    vals_chunk: &mut [f32],
-) {
-    let base = s.row_ptr[rows.start];
-    for r in rows {
-        let arow = &ad[r * c..(r + 1) * c];
-        let range = s.row_ptr[r]..s.row_ptr[r + 1];
-        let local = range.start - base..range.end - base;
-        for (&j, val) in s.col_idx[range].iter().zip(&mut vals_chunk[local]) {
-            let brow = &bd[j as usize * c..(j as usize + 1) * c];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            *val += acc;
-        }
-    }
 }
 
 /// Sampled dense–dense product, TN layout: for each stored coordinate
@@ -946,6 +959,86 @@ mod tests {
                 sddmm_nt_seg_into_rt(&rt, f.view(), &a, &b, seg, &mut par);
                 assert_eq!(par, expect, "threads={threads} seed={seed}");
             }
+        }
+    }
+
+    /// The one-entry definition of the segmented SDDMM: per stored entry
+    /// and segment, a fresh accumulator, mul then add, then `val += acc`.
+    fn sddmm_nt_seg_reference(
+        s: CsrView<'_>,
+        a: &Tensor,
+        b: &Tensor,
+        seg: usize,
+        vals: &mut [f32],
+    ) {
+        let c = a.shape()[1];
+        for r in 0..s.rows {
+            let range = s.row_ptr[r]..s.row_ptr[r + 1];
+            for (&j, val) in s.col_idx[range.clone()].iter().zip(&mut vals[range]) {
+                for off in (0..c / seg).map(|k| k * seg) {
+                    let mut acc = 0.0f32;
+                    for k in off..off + seg {
+                        acc += a.data()[r * c + k] * b.data()[j as usize * c + k];
+                    }
+                    *val += acc;
+                }
+            }
+        }
+    }
+
+    /// The four-entry SDDMM kernel is bit-identical to the one-entry
+    /// definition for every row length 0–9 (full quads plus every tail
+    /// length), segment widths 1, 4 and 64, and every thread count.
+    #[test]
+    fn sddmm_nt_quads_match_one_entry_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let (rows, cols) = (10usize, 12usize);
+        let mut row_ptr = vec![0usize];
+        let mut col_idx = Vec::new();
+        for len in 0..rows {
+            let mut picked: Vec<u32> = (0..cols as u32).collect();
+            for i in 0..len {
+                let k = rng.gen_range(i..cols);
+                picked.swap(i, k);
+            }
+            let mut row = picked[..len].to_vec();
+            row.sort_unstable();
+            col_idx.extend(row);
+            row_ptr.push(col_idx.len());
+        }
+        let structure = vec![0.0f32; col_idx.len()];
+        let s = CsrView {
+            rows,
+            cols,
+            row_ptr: &row_ptr,
+            col_idx: &col_idx,
+            vals: &structure,
+        };
+        let seed_vals: Vec<f32> = (0..s.nnz())
+            .map(|i| if i % 3 == 0 { -0.0 } else { i as f32 * 0.25 })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seg in [1usize, 4, 64] {
+            let c = 3 * seg;
+            let a = rand_t(&[rows, c], seg as u64);
+            let b = rand_t(&[cols, c], seg as u64 + 1);
+            let mut expect = seed_vals.clone();
+            sddmm_nt_seg_reference(s, &a, &b, seg, &mut expect);
+            let mut got = seed_vals.clone();
+            sddmm_nt_seg_into(s, &a, &b, seg, &mut got);
+            assert_eq!(bits(&got), bits(&expect), "seg={seg}");
+            for threads in [2usize, 3, 64] {
+                let rt = Runtime::exact(threads).with_min_work(0);
+                let mut par = seed_vals.clone();
+                sddmm_nt_seg_into_rt(&rt, s, &a, &b, seg, &mut par);
+                assert_eq!(bits(&par), bits(&expect), "seg={seg} threads={threads}");
+            }
+            // The unsegmented kernel is the one-segment case.
+            let mut expect = seed_vals.clone();
+            sddmm_nt_seg_reference(s, &a, &b, c, &mut expect);
+            let mut got = seed_vals.clone();
+            sddmm_nt_into(s, &a, &b, &mut got);
+            assert_eq!(bits(&got), bits(&expect), "unsegmented c={c}");
         }
     }
 
