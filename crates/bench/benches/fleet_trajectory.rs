@@ -19,7 +19,7 @@ use ft_fl::{
 };
 use ft_nn::{sparse_layout, take_snapshot, wire_ctx};
 use ft_runtime::Runtime;
-use ft_sparse::{Codec, Mask, Payload, PayloadView};
+use ft_sparse::{Codec, Mask, Payload, PayloadView, WireCtx};
 use std::time::Instant;
 
 /// Every byte this process allocates is counted, so the collect-dataplane
@@ -93,6 +93,24 @@ fn alloc_rounds() -> usize {
     }
 }
 
+/// The allocating FedAvg the sharded engine replaced, kept here as the
+/// naive side of the `collect_alloc` records: every payload is decoded into
+/// a fresh dense vector and averaged in `f64` against `anchor`.
+fn fedavg_naive(updates: &[(&Payload, f64)], anchor: &[f32], ctx: &WireCtx) -> Vec<f32> {
+    let total: f64 = updates.iter().map(|(_, w)| w).sum();
+    let mut acc = vec![0.0f64; anchor.len()];
+    for (p, w) in updates {
+        for (a, &d) in acc.iter_mut().zip(&p.decode(ctx)) {
+            *a += w / total * d as f64;
+        }
+    }
+    anchor
+        .iter()
+        .zip(&acc)
+        .map(|(&a, &d)| (a as f64 + d) as f32)
+        .collect()
+}
+
 /// Measures allocator traffic per round of the Collect → Aggregate hot
 /// path, two ways, and records both:
 ///
@@ -103,7 +121,7 @@ fn alloc_rounds() -> usize {
 ///   must allocate **zero** bytes.
 /// - `collect_alloc_naive` — the pre-dataplane shape: a fresh buffer per
 ///   frame (what `read_frame` did), an owned [`Payload::from_bytes`]
-///   decode, and the allocating [`Aggregator::aggregate`].
+///   decode, and the allocating [`fedavg_naive`].
 ///
 /// The two paths are also asserted bit-identical, so the alloc-free loop
 /// is pinned to compute exactly what the naive one does.
@@ -176,8 +194,7 @@ fn measure_collect_alloc(report: &mut BenchReport) {
             .map(|b| Payload::from_bytes(b, &ctx).expect("wire frame decodes"))
             .collect();
         let pairs: Vec<(&Payload, f64)> = payloads.iter().zip(weights).collect();
-        let got = agg.aggregate(&pairs, &anchor, &ctx);
-        let params = got.params.expect("cohort is non-degenerate");
+        let params = fedavg_naive(&pairs, &anchor, &ctx);
         if let Some(out) = out {
             out.extend_from_slice(&params);
         }

@@ -1,10 +1,8 @@
 //! Fleet commands: `ft run`, `ft serve`, `ft device`, `ft resume`.
 //!
-//! These absorb what the `tcp_fleet` and `straggler_fleet` examples used to
-//! do: the same seeds, the same environments, the same reference-twin
-//! bit-identity assertions — one knob surface instead of two. The examples
-//! remain as thin wrappers that translate their legacy flags onto these
-//! subcommands.
+//! One knob surface for every fleet: the same seeds, the same environments
+//! and the same reference-twin bit-identity assertions whether the devices
+//! run in process (`ft run`) or across TCP (`ft serve` / `ft device`).
 
 use crate::args::{die, Args};
 use ft_data::{DatasetProfile, SynthConfig};
@@ -380,7 +378,7 @@ fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
 
 /// The straggler comparison: the same fleet under the synchronous,
 /// deadline and buffered schedulers, plus the buffered timeline excerpt
-/// and the host-parallelism report (ports the `straggler_fleet` example).
+/// and the host-parallelism report (`ft run --preset straggler`).
 fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
     let resolved = resolve_threads(opts.threads);
     let deadline_secs = {

@@ -2,7 +2,7 @@
 //! selection ablation.
 
 use ft_data::Dataset;
-use ft_fl::{aggregate_bn_stats, eval_loss, ExperimentEnv};
+use ft_fl::{eval_loss, try_aggregate_bn_stats, ExperimentEnv};
 use ft_metrics::{bn_stats_bytes, densities_from_mask, forward_flops, sparse_model_bytes};
 use ft_nn::{apply_mask, bn_stats_encoded_len, sparse_layout, Mode, Model};
 use ft_sparse::{magnitude_mask, noisy_density_vector, Mask};
@@ -145,8 +145,9 @@ fn select(
                 let stats: Vec<_> = m.bn_stats().into_iter().cloned().collect();
                 updates.push((stats, dev.len() as f64));
             }
-            // --- Server side: Eq. 4 weighted aggregation.
-            Some(aggregate_bn_stats(&updates))
+            // --- Server side: Eq. 4 weighted aggregation (`None` only
+            // when no development split has a sample).
+            try_aggregate_bn_stats(&updates)
         } else {
             None
         };

@@ -1,6 +1,12 @@
-//! Server-side aggregation: FedAvg over flat parameters and BN statistics,
-//! plus the payload-native variants that decode-and-accumulate encoded
-//! update deltas without ever materializing a per-device dense vector.
+//! Server-side aggregation: one entry point, [`Aggregator::aggregate_into`],
+//! turns a cohort's encoded update deltas into the next global model, and
+//! [`try_aggregate_bn_stats`] averages their BatchNorm statistics.
+//!
+//! Both scheduler loops call the same engine. The synchronous barrier
+//! passes sample counts as weights and the round's anchor; the buffered
+//! event loop passes sample counts discounted by [`staleness_weight`] and
+//! the current global. Sparse payloads are decoded-and-accumulated straight
+//! out of their wire form, shard by shard, into recycled scratch.
 //!
 //! The [`Aggregator`] enum layers the robust rules of the trimmed-mean /
 //! median family (Yin et al., ICML'18) and norm-bounded clipping on top of
@@ -13,207 +19,6 @@ use ft_runtime::Runtime;
 use ft_sparse::{Payload, PayloadView, ShardPlan, WireCtx};
 use serde::{Deserialize, Serialize};
 
-/// Weighted average of flat parameter vectors (FedAvg).
-///
-/// Weights are normalized internally, so callers may pass raw dataset sizes.
-///
-/// # Panics
-///
-/// Panics if `updates` is empty, lengths differ, or the weight sum is zero.
-pub fn fedavg(updates: &[(Vec<f32>, f64)]) -> Vec<f32> {
-    assert!(!updates.is_empty(), "fedavg needs at least one update");
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    assert!(total_w > 0.0, "fedavg weights sum to zero");
-    try_fedavg(updates).expect("nonempty updates with positive weight")
-}
-
-/// [`fedavg`] without the degenerate-cohort panics: returns `None` when
-/// `updates` is empty or the weight sum is not strictly positive (all-zero
-/// weights, a fully dropped cohort). This is the division-hazard-free
-/// primitive the schedulers build on — a `None` means "keep the previous
-/// global" rather than silently producing NaN-filled parameters.
-///
-/// # Panics
-///
-/// Still panics on ragged parameter lengths — that is a caller bug, not a
-/// degenerate-but-possible fleet state.
-pub fn try_fedavg(updates: &[(Vec<f32>, f64)]) -> Option<Vec<f32>> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let n = updates[0].0.len();
-    let mut out = vec![0.0f64; n];
-    for (params, w) in updates {
-        assert_eq!(params.len(), n, "fedavg parameter length mismatch");
-        let wn = *w / total_w;
-        for (o, &p) in out.iter_mut().zip(params.iter()) {
-            *o += wn * p as f64;
-        }
-    }
-    Some(out.into_iter().map(|v| v as f32).collect())
-}
-
-/// Weighted average that degrades gracefully: an empty or zero-weight
-/// cohort returns a copy of `previous` (the current global) instead of
-/// panicking or emitting NaNs.
-///
-/// # Panics
-///
-/// Panics if an update's length differs from `previous`.
-///
-/// # Examples
-///
-/// ```
-/// use ft_fl::fedavg_or_previous;
-///
-/// let global = vec![1.0, 2.0];
-/// // Empty surviving cohort: the round makes no progress.
-/// assert_eq!(fedavg_or_previous(&[], &global), global);
-/// // All-zero weights are equally degenerate.
-/// let degenerate = vec![(vec![9.0, 9.0], 0.0)];
-/// assert_eq!(fedavg_or_previous(&degenerate, &global), global);
-/// ```
-pub fn fedavg_or_previous(updates: &[(Vec<f32>, f64)], previous: &[f32]) -> Vec<f32> {
-    for (params, _) in updates {
-        assert_eq!(
-            params.len(),
-            previous.len(),
-            "update length differs from the global model"
-        );
-    }
-    try_fedavg(updates).unwrap_or_else(|| previous.to_vec())
-}
-
-/// Weighted-average FedAvg over *encoded update deltas*: each payload is an
-/// encoded `θ_k − anchor`, and the new global is
-/// `anchor + Σ_k (w_k / Σw) · decode(payload_k)`.
-///
-/// Sparse payloads (`MaskCsr`, `TopK`) are accumulated coordinate-by-
-/// coordinate straight out of their wire representation — no per-device
-/// dense vector is ever materialized. With `Codec::Dense` payloads whose
-/// anchor is the current global this is exactly classic [`fedavg`] (up to
-/// `f32`/`f64` accumulation order).
-///
-/// Returns `None` when `updates` is empty or the weight sum is not
-/// strictly positive, so schedulers can keep the previous global.
-///
-/// # Panics
-///
-/// Panics if a payload's decoded length differs from `anchor`, or if a
-/// values-only `MaskCsr` payload was encoded under a different mask epoch
-/// than `ctx` (see `ft_sparse::Payload`).
-pub fn try_fedavg_payloads(
-    updates: &[(&Payload, f64)],
-    anchor: &[f32],
-    ctx: &WireCtx,
-) -> Option<Vec<f32>> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let mut acc = vec![0.0f64; anchor.len()];
-    for (payload, w) in updates {
-        assert_eq!(
-            payload.len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-        payload.accumulate_into(*w / total_w, &mut acc, ctx);
-    }
-    Some(
-        anchor
-            .iter()
-            .zip(acc.iter())
-            .map(|(&a, &d)| (a as f64 + d) as f32)
-            .collect(),
-    )
-}
-
-/// [`try_fedavg_payloads`] that panics on a degenerate cohort, mirroring
-/// [`fedavg`].
-///
-/// # Panics
-///
-/// Panics if `updates` is empty, the weight sum is zero, or any payload is
-/// inconsistent with `anchor`/`ctx`.
-pub fn fedavg_payloads(updates: &[(&Payload, f64)], anchor: &[f32], ctx: &WireCtx) -> Vec<f32> {
-    assert!(!updates.is_empty(), "fedavg needs at least one update");
-    try_fedavg_payloads(updates, anchor, ctx).expect("nonempty updates with positive weight")
-}
-
-/// Staleness-weighted payload aggregation over `(payload, sample_weight,
-/// staleness)` triples: the new global is `current + Σ_k wn_k ·
-/// decode(payload_k)` with `wn_k ∝ w_k / sqrt(1 + s_k)` (the FedBuff
-/// discount of [`staleness_weight`]). Deltas are applied to the *current*
-/// global even when they were computed against an older anchor — the
-/// standard buffered-aggregation semantics.
-///
-/// Routes through [`try_staleness_fedavg_payloads`] with the
-/// [`fedavg_or_previous`] fallback: a degenerate cohort — empty, entirely
-/// quarantined mid-round, or carrying only unusable weights — returns
-/// `current` unchanged instead of dividing by a zero (or non-finite)
-/// survivor weight sum.
-///
-/// # Panics
-///
-/// Panics if a payload's decoded length differs from `current`, or on a
-/// mask-epoch mismatch (see [`try_fedavg_payloads`]).
-pub fn staleness_fedavg_payloads(
-    updates: &[(&Payload, f64, usize)],
-    current: &[f32],
-    ctx: &WireCtx,
-) -> Vec<f32> {
-    try_staleness_fedavg_payloads(updates, current, ctx).unwrap_or_else(|| current.to_vec())
-}
-
-/// [`staleness_fedavg_payloads`] without the silent-voiding hazard: each
-/// update's *effective* weight `w_k / sqrt(1 + s_k)` is screened before the
-/// normalizing sum, so one quarantine-worthy weight (NaN, infinite, zero,
-/// or negative — e.g. an adversarial `num_samples` that overflowed a cast)
-/// cannot poison the total and void the honest survivors' round. Returns
-/// `None` only when *no* update carries usable weight — the caller keeps
-/// the current global (route through the [`fedavg_or_previous`] idiom).
-///
-/// With every weight finite and positive this is bit-identical to the
-/// unscreened sum: the same updates enter the total in the same order.
-///
-/// # Panics
-///
-/// Panics if a payload's decoded length differs from `current`, or on a
-/// mask-epoch mismatch (see [`try_fedavg_payloads`]).
-pub fn try_staleness_fedavg_payloads(
-    updates: &[(&Payload, f64, usize)],
-    current: &[f32],
-    ctx: &WireCtx,
-) -> Option<Vec<f32>> {
-    let usable: Vec<(&Payload, f64)> = updates
-        .iter()
-        .map(|(p, w, s)| (*p, w * staleness_weight(*s)))
-        .filter(|(_, ew)| ew.is_finite() && *ew > 0.0)
-        .collect();
-    let total_w: f64 = usable.iter().map(|(_, ew)| *ew).sum();
-    if usable.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let mut acc = vec![0.0f64; current.len()];
-    for (payload, ew) in &usable {
-        assert_eq!(
-            payload.len(),
-            current.len(),
-            "payload length differs from the global model"
-        );
-        payload.accumulate_into(*ew / total_w, &mut acc, ctx);
-    }
-    Some(
-        current
-            .iter()
-            .zip(acc.iter())
-            .map(|(&c, &d)| (c as f64 + d) as f32)
-            .collect(),
-    )
-}
-
 /// FedBuff-style staleness discount: an update computed `staleness` server
 /// versions ago is weighted by `1 / sqrt(1 + staleness)` (Nguyen et al.,
 /// "Federated Learning with Buffered Asynchronous Aggregation").
@@ -221,66 +26,38 @@ pub fn staleness_weight(staleness: usize) -> f64 {
     1.0 / (1.0 + staleness as f64).sqrt()
 }
 
-/// Staleness-weighted FedAvg over `(params, sample_weight, staleness)`
-/// triples: each update's weight is its sample count discounted by
-/// [`staleness_weight`]. With all-zero staleness this is exactly plain
-/// [`fedavg`]; a degenerate cohort returns `previous` unchanged. Borrows
-/// the parameter slices — no per-update copies.
-///
-/// # Panics
-///
-/// Panics if an update's length differs from `previous`.
-pub fn staleness_fedavg(updates: &[(&[f32], f64, usize)], previous: &[f32]) -> Vec<f32> {
-    for (params, _, _) in updates {
-        assert_eq!(
-            params.len(),
-            previous.len(),
-            "update length differs from the global model"
-        );
-    }
-    let total_w: f64 = updates
-        .iter()
-        .map(|(_, w, s)| w * staleness_weight(*s))
-        .sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return previous.to_vec();
-    }
-    let mut out = vec![0.0f64; previous.len()];
-    for (params, w, s) in updates {
-        let wn = w * staleness_weight(*s) / total_w;
-        for (o, &p) in out.iter_mut().zip(params.iter()) {
-            *o += wn * p as f64;
-        }
-    }
-    out.into_iter().map(|v| v as f32).collect()
+/// The one weight screen of every weighted average: a weight that is not
+/// finite and strictly positive (a zero sample claim, an overflowed cast, a
+/// NaN) drops its update before the normalizing sum. It can then neither
+/// void the honest survivors' round nor add `0 × NaN` into the global.
+fn usable_weight(w: f64) -> bool {
+    w.is_finite() && w > 0.0
+}
+
+/// The sum of the usable weights, or `None` when no update carries usable
+/// weight (or the sum overflows): the degenerate cohort on which the caller
+/// keeps the previous global.
+fn screened_total(weights: impl Iterator<Item = f64>) -> Option<f64> {
+    let total: f64 = weights.filter(|&w| usable_weight(w)).sum();
+    (total.is_finite() && total > 0.0).then_some(total)
 }
 
 /// Weighted average of per-layer BatchNorm statistics (Eq. 4):
-/// `µ = Σ_k (|D̂_k|/Σ|D̂_j|) µ_k` and likewise for `σ²`.
+/// `µ = Σ_k (|D̂_k|/Σ|D̂_j|) µ_k` and likewise for `σ²`, over the updates
+/// whose weight passes the same screen as the parameter average.
+///
+/// Returns `None` when no update carries usable weight, so schedulers can
+/// keep the previous global statistics instead.
 ///
 /// # Panics
 ///
-/// Panics if `updates` is empty or the layer structures differ.
-pub fn aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Vec<BnStats> {
-    assert!(
-        !updates.is_empty(),
-        "bn aggregation needs at least one update"
-    );
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    assert!(total_w > 0.0, "bn aggregation weights sum to zero");
-    try_aggregate_bn_stats(updates).expect("nonempty updates with positive weight")
-}
-
-/// [`aggregate_bn_stats`] without the degenerate-cohort panics: `None` when
-/// `updates` is empty or all weights are zero, so schedulers can keep the
-/// previous global statistics instead.
+/// Panics if the layer or channel structures differ.
 pub fn try_aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Option<Vec<BnStats>> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let layers = updates[0].0.len();
-    let mut out: Vec<BnStats> = updates[0]
+    let total_w = screened_total(updates.iter().map(|(_, w)| *w))?;
+    let mut usable = updates.iter().filter(|(_, w)| usable_weight(*w)).peekable();
+    let layers = usable.peek()?.0.len();
+    let mut out: Vec<BnStats> = usable
+        .peek()?
         .0
         .iter()
         .map(|s| BnStats {
@@ -288,7 +65,7 @@ pub fn try_aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Option<Vec<BnS
             var: vec![0.0; s.var.len()],
         })
         .collect();
-    for (stats, w) in updates {
+    for (stats, w) in usable {
         assert_eq!(stats.len(), layers, "bn layer count mismatch");
         let wn = (*w / total_w) as f32;
         for (o, s) in out.iter_mut().zip(stats.iter()) {
@@ -316,8 +93,7 @@ pub fn try_aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Option<Vec<BnS
 /// loop against the current global).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum Aggregator {
-    /// Sample-weighted averaging of payload deltas — exactly
-    /// [`try_fedavg_payloads`] / [`staleness_fedavg_payloads`], bit for bit.
+    /// Weighted averaging of payload deltas under the screened weights.
     #[default]
     FedAvg,
     /// Coordinate-wise β-trimmed mean: per coordinate, drop the
@@ -339,27 +115,6 @@ pub enum Aggregator {
         /// L2 clipping threshold, finite and positive.
         tau: f64,
     },
-}
-
-/// What an [`Aggregator`] produced for one round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggregateOutcome {
-    /// The new global parameters, or `None` when the cohort was degenerate
-    /// (empty, fully quarantined, or without usable weight) and the caller
-    /// should keep the previous global.
-    pub params: Option<Vec<f32>>,
-    /// How many accepted updates were norm-clipped (always 0 for the
-    /// rank-based rules and `FedAvg`).
-    pub clipped: usize,
-}
-
-impl AggregateOutcome {
-    fn keep_previous() -> Self {
-        AggregateOutcome {
-            params: None,
-            clipped: 0,
-        }
-    }
 }
 
 impl Aggregator {
@@ -422,217 +177,10 @@ impl Aggregator {
             }
         }
     }
-
-    /// Barrier-loop aggregation: combines the surviving `(payload, sample
-    /// weight)` pairs against the round's `anchor`. `params: None` means
-    /// "keep the previous global" (degenerate cohort), mirroring
-    /// [`try_fedavg_payloads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a payload is inconsistent with `anchor`/`ctx` (caller
-    /// bug — hostile payloads are screened before they reach this).
-    pub fn aggregate(
-        &self,
-        updates: &[(&Payload, f64)],
-        anchor: &[f32],
-        ctx: &WireCtx,
-    ) -> AggregateOutcome {
-        match *self {
-            Aggregator::FedAvg => AggregateOutcome {
-                params: try_fedavg_payloads(updates, anchor, ctx),
-                clipped: 0,
-            },
-            Aggregator::TrimmedMean { beta } => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _)| *p), anchor.len(), ctx);
-                AggregateOutcome {
-                    params: trimmed_mean_apply(&deltas, anchor, beta),
-                    clipped: 0,
-                }
-            }
-            Aggregator::CoordinateMedian => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _)| *p), anchor.len(), ctx);
-                AggregateOutcome {
-                    params: median_apply(&deltas, anchor),
-                    clipped: 0,
-                }
-            }
-            Aggregator::NormClipped { tau } => {
-                norm_clipped_apply(updates.iter().map(|&(p, w)| (p, w)), anchor, tau, ctx)
-            }
-        }
-    }
-
-    /// Buffered-loop aggregation over `(payload, sample weight, staleness)`
-    /// triples against the *current* global. The rank-based rules are
-    /// weight- and staleness-oblivious by construction (order statistics
-    /// have no weights); `NormClipped` discounts weights by
-    /// [`staleness_weight`] exactly like FedBuff. `params: None` again
-    /// means "keep the current global".
-    ///
-    /// # Panics
-    ///
-    /// Panics if a payload is inconsistent with `current`/`ctx`.
-    pub fn aggregate_stale(
-        &self,
-        updates: &[(&Payload, f64, usize)],
-        current: &[f32],
-        ctx: &WireCtx,
-    ) -> AggregateOutcome {
-        match *self {
-            Aggregator::FedAvg => AggregateOutcome {
-                params: try_staleness_fedavg_payloads(updates, current, ctx),
-                clipped: 0,
-            },
-            Aggregator::TrimmedMean { beta } => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _, _)| *p), current.len(), ctx);
-                AggregateOutcome {
-                    params: trimmed_mean_apply(&deltas, current, beta),
-                    clipped: 0,
-                }
-            }
-            Aggregator::CoordinateMedian => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _, _)| *p), current.len(), ctx);
-                AggregateOutcome {
-                    params: median_apply(&deltas, current),
-                    clipped: 0,
-                }
-            }
-            Aggregator::NormClipped { tau } => norm_clipped_apply(
-                updates
-                    .iter()
-                    .map(|&(p, w, s)| (p, w * staleness_weight(s))),
-                current,
-                tau,
-                ctx,
-            ),
-        }
-    }
-}
-
-/// Decodes every payload to a dense delta vector, checking lengths.
-fn decode_deltas<'a>(
-    payloads: impl Iterator<Item = &'a Payload>,
-    expect_len: usize,
-    ctx: &WireCtx,
-) -> Vec<Vec<f32>> {
-    payloads
-        .map(|p| {
-            assert_eq!(
-                p.len(),
-                expect_len,
-                "payload length differs from the global model"
-            );
-            p.decode(ctx)
-        })
-        .collect()
-}
-
-/// `base + coordinate-wise β-trimmed mean of deltas`, or `None` for an
-/// empty cohort. Sorting uses `total_cmp`, so adversarial NaNs land at the
-/// tails where the trim removes them first.
-fn trimmed_mean_apply(deltas: &[Vec<f32>], base: &[f32], beta: f64) -> Option<Vec<f32>> {
-    let n = deltas.len();
-    if n == 0 {
-        return None;
-    }
-    let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
-    Some(rank_apply(deltas, base, |col| {
-        let kept = &col[t..n - t];
-        kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
-    }))
-}
-
-/// `base + coordinate-wise median of deltas` (mean of the two middle order
-/// statistics for even `n`), or `None` for an empty cohort.
-fn median_apply(deltas: &[Vec<f32>], base: &[f32]) -> Option<Vec<f32>> {
-    let n = deltas.len();
-    if n == 0 {
-        return None;
-    }
-    Some(rank_apply(deltas, base, |col| {
-        if n % 2 == 1 {
-            col[n / 2] as f64
-        } else {
-            (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
-        }
-    }))
-}
-
-/// Shared column machinery for the rank-based rules: per coordinate,
-/// gathers the cohort's delta values, sorts them totally, and applies
-/// `reduce` to the sorted column.
-fn rank_apply(deltas: &[Vec<f32>], base: &[f32], reduce: impl Fn(&[f32]) -> f64) -> Vec<f32> {
-    let mut col = vec![0.0f32; deltas.len()];
-    let mut out = Vec::with_capacity(base.len());
-    for (i, &b) in base.iter().enumerate() {
-        for (c, d) in col.iter_mut().zip(deltas.iter()) {
-            *c = d[i];
-        }
-        col.sort_unstable_by(|a, b| a.total_cmp(b));
-        out.push((b as f64 + reduce(&col)) as f32);
-    }
-    out
-}
-
-/// Weighted FedAvg over norm-clipped decoded deltas: each delta is scaled
-/// by `min(1, τ / ‖δ‖₂)` (a zero or non-finite norm leaves the delta
-/// unscaled — clipping cannot repair NaNs, only bound magnitudes), then
-/// averaged under screened weights. Degenerate weight totals return
-/// `keep_previous`.
-fn norm_clipped_apply<'a>(
-    updates: impl Iterator<Item = (&'a Payload, f64)>,
-    base: &[f32],
-    tau: f64,
-    ctx: &WireCtx,
-) -> AggregateOutcome {
-    let mut clipped = 0usize;
-    let usable: Vec<(Vec<f32>, f64)> = updates
-        .filter(|(_, w)| w.is_finite() && *w > 0.0)
-        .map(|(p, w)| {
-            assert_eq!(
-                p.len(),
-                base.len(),
-                "payload length differs from the global model"
-            );
-            (p.decode(ctx), w)
-        })
-        .collect();
-    let total_w: f64 = usable.iter().map(|(_, w)| *w).sum();
-    if usable.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return AggregateOutcome::keep_previous();
-    }
-    let mut acc = vec![0.0f64; base.len()];
-    for (delta, w) in &usable {
-        let norm = delta
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt();
-        let scale = if norm.is_finite() && norm > tau {
-            clipped += 1;
-            tau / norm
-        } else {
-            1.0
-        };
-        let wn = (*w / total_w) * scale;
-        for (a, &d) in acc.iter_mut().zip(delta.iter()) {
-            *a += wn * d as f64;
-        }
-    }
-    AggregateOutcome {
-        params: Some(
-            base.iter()
-                .zip(acc.iter())
-                .map(|(&b, &d)| (b as f64 + d) as f32)
-                .collect(),
-        ),
-        clipped,
-    }
 }
 
 /// An encoded update the sharded aggregation engine can drain: the owned
-/// [`Payload`] (the barrier loop's buffered updates) and the borrowed
+/// [`Payload`] (in-process and buffered updates) and the borrowed
 /// [`PayloadView`] (the zero-copy receive path) answer the same three
 /// questions, so [`Aggregator::aggregate_into`] serves both without a copy.
 pub trait ShardAccumulate: Sync {
@@ -736,15 +284,16 @@ impl AggScratch {
     }
 }
 
-/// What [`Aggregator::aggregate_into`] produced for one round — the borrowed
-/// sibling of [`AggregateOutcome`]: `params` points into the caller's
-/// [`AggScratch`] instead of a fresh allocation.
+/// What [`Aggregator::aggregate_into`] produced for one round: `params`
+/// points into the caller's [`AggScratch`] instead of a fresh allocation.
 #[derive(Debug, PartialEq)]
 pub struct AggregateRef<'a> {
-    /// The new global parameters, or `None` to keep the previous global
-    /// (degenerate cohort), exactly as [`AggregateOutcome::params`].
+    /// The new global parameters, or `None` when the cohort was degenerate
+    /// (empty, fully quarantined, or without usable weight) and the caller
+    /// should keep the previous global.
     pub params: Option<&'a [f32]>,
-    /// How many accepted updates were norm-clipped.
+    /// How many accepted updates were norm-clipped (always 0 for the
+    /// rank-based rules and `FedAvg`).
     pub clipped: usize,
 }
 
@@ -792,22 +341,40 @@ fn for_each_shard<T: Send>(
     }
 }
 
+/// The cohort members a weighted rule averages: those whose weight passes
+/// [`usable_weight`], in cohort order.
+fn usable<'u, P>(updates: &'u [(&'u P, f64)]) -> impl Iterator<Item = (&'u P, f64)> {
+    updates
+        .iter()
+        .filter(|(_, w)| usable_weight(*w))
+        .map(|&(p, w)| (p, w))
+}
+
 impl Aggregator {
-    /// The allocation-free sharded engine behind [`aggregate`](Self::aggregate):
-    /// combines the surviving `(update, sample weight)` pairs against
-    /// `anchor`, decoding-and-accumulating each update shard-by-shard on
-    /// `rt`'s pool and reusing every buffer in `scratch` across rounds.
-    /// Accepts owned [`Payload`]s and borrowed [`PayloadView`]s alike
-    /// (anything [`ShardAccumulate`]).
+    /// The one aggregation entry point: combines a cohort's
+    /// `(update, weight)` pairs against `anchor` into the next global,
+    /// decoding-and-accumulating each update shard-by-shard on `rt`'s pool
+    /// and reusing every buffer in `scratch` across rounds. Accepts owned
+    /// [`Payload`]s and borrowed [`PayloadView`]s alike (anything
+    /// [`ShardAccumulate`]).
     ///
-    /// Bit-identical to [`aggregate`](Self::aggregate) for every rule and
-    /// any shard count: shards partition the *output coordinates*, so per
-    /// coordinate the same values are added in the same (cohort) order as
-    /// one sequential pass.
+    /// The barrier loop passes sample counts and the round's anchor; the
+    /// buffered loop passes sample counts discounted by
+    /// [`staleness_weight`] and the current global. The weighted rules
+    /// (`FedAvg`, `NormClipped`) screen weights first: an update whose
+    /// weight is not finite and positive is dropped. The rank-based rules
+    /// ignore weights by construction (order statistics have none).
+    /// `params: None` means "keep the previous global".
+    ///
+    /// Deterministic for any shard count: shards partition the *output
+    /// coordinates*, so per coordinate the same values are added in the
+    /// same (cohort) order as one sequential pass.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`aggregate`](Self::aggregate).
+    /// Panics if a payload's length differs from `anchor`, or if a payload
+    /// is inconsistent with `ctx` (caller bug — hostile payloads are
+    /// screened before they reach this).
     pub fn aggregate_into<'s, P: ShardAccumulate>(
         &self,
         updates: &[(&P, f64)],
@@ -816,63 +383,60 @@ impl Aggregator {
         rt: &Runtime,
         scratch: &'s mut AggScratch,
     ) -> AggregateRef<'s> {
-        match *self {
-            Aggregator::FedAvg => AggregateRef {
-                params: fedavg_into(updates, anchor, ctx, rt, scratch),
-                clipped: 0,
-            },
-            Aggregator::TrimmedMean { beta } => {
-                let n = updates.len();
-                let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
-                AggregateRef {
-                    params: rank_into(updates, anchor, ctx, rt, scratch, move |col| {
-                        let kept = &col[t..n - t];
-                        kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
-                    }),
-                    clipped: 0,
-                }
-            }
-            Aggregator::CoordinateMedian => {
-                let n = updates.len();
-                AggregateRef {
-                    params: rank_into(updates, anchor, ctx, rt, scratch, move |col| {
-                        if n % 2 == 1 {
-                            col[n / 2] as f64
-                        } else {
-                            (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
-                        }
-                    }),
-                    clipped: 0,
-                }
-            }
-            Aggregator::NormClipped { tau } => {
-                norm_clipped_into(updates, anchor, tau, ctx, rt, scratch)
-            }
+        for (p, _) in updates {
+            assert_eq!(
+                p.vec_len(),
+                anchor.len(),
+                "payload length differs from the global model"
+            );
         }
+        let total_w = screened_total(updates.iter().map(|(_, w)| *w));
+        let n = updates.len();
+        let (params, clipped) = match (*self, total_w) {
+            (Aggregator::TrimmedMean { beta }, _) => {
+                let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
+                let params = rank_into(updates, anchor, ctx, rt, scratch, move |col| {
+                    let kept = &col[t..n - t];
+                    kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
+                });
+                (params, 0)
+            }
+            (Aggregator::CoordinateMedian, _) => {
+                let params = rank_into(updates, anchor, ctx, rt, scratch, move |col| {
+                    if n % 2 == 1 {
+                        col[n / 2] as f64
+                    } else {
+                        (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
+                    }
+                });
+                (params, 0)
+            }
+            (_, None) => (None, 0),
+            (Aggregator::FedAvg, Some(total_w)) => (
+                Some(fedavg_into(updates, total_w, anchor, ctx, rt, scratch)),
+                0,
+            ),
+            (Aggregator::NormClipped { tau }, Some(total_w)) => {
+                let (params, clipped) =
+                    norm_clipped_into(updates, total_w, anchor, tau, ctx, rt, scratch);
+                (Some(params), clipped)
+            }
+        };
+        AggregateRef { params, clipped }
     }
 }
 
-/// Sharded [`try_fedavg_payloads`]: same screening, same asserts, same
-/// per-coordinate arithmetic — the accumulator is just filled shard-by-shard
-/// on the pool and recycled from `scratch`.
+/// Sharded weighted mean: `anchor + Σ_k (w_k / total_w) · decode(update_k)`
+/// over the usable updates, with the accumulator filled shard-by-shard on
+/// the pool and recycled from `scratch`.
 fn fedavg_into<'s, P: ShardAccumulate>(
     updates: &[(&P, f64)],
+    total_w: f64,
     anchor: &[f32],
     ctx: &WireCtx,
     rt: &Runtime,
     scratch: &'s mut AggScratch,
-) -> Option<&'s [f32]> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    for (p, _) in updates {
-        assert_eq!(
-            p.vec_len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-    }
+) -> &'s [f32] {
     scratch.plan(ctx, rt);
     let AggScratch {
         acc, params, plan, ..
@@ -881,8 +445,8 @@ fn fedavg_into<'s, P: ShardAccumulate>(
     acc.resize(anchor.len(), 0.0);
     acc.fill(0.0);
     for_each_shard(rt, plan, acc, |s, acc_s| {
-        for (p, w) in updates {
-            p.shard_accumulate(*w / total_w, acc_s, ctx, plan, s);
+        for (p, w) in usable(updates) {
+            p.shard_accumulate(w / total_w, acc_s, ctx, plan, s);
         }
     });
     params.resize(anchor.len(), 0.0);
@@ -893,14 +457,14 @@ fn fedavg_into<'s, P: ShardAccumulate>(
             *o = (anchor[i] as f64 + acc[i]) as f32;
         }
     });
-    Some(params)
+    params
 }
 
-/// Sharded [`rank_apply`] over recycled delta buffers: decodes every update
-/// into `scratch.deltas` (fanned out per update), then reduces sorted
-/// per-coordinate columns shard-parallel. Per coordinate the column is
-/// gathered in cohort order and sorted with `total_cmp` exactly as the
-/// sequential path does.
+/// Sharded rank-based rule over recycled delta buffers: decodes every
+/// update into `scratch.deltas` (fanned out per update), then reduces
+/// sorted per-coordinate columns shard-parallel. Per coordinate the column
+/// is gathered in cohort order and sorted with `total_cmp`, so adversarial
+/// NaNs land at the tails. `None` for an empty cohort.
 fn rank_into<'s, P: ShardAccumulate>(
     updates: &[(&P, f64)],
     anchor: &[f32],
@@ -931,14 +495,7 @@ fn rank_into<'s, P: ShardAccumulate>(
         .map(|(p, _)| *p)
         .zip(deltas.iter_mut())
         .collect();
-    rt.scatter(decode_jobs, |(p, d)| {
-        assert_eq!(
-            p.vec_len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-        p.dense_decode_into(d, ctx);
-    });
+    rt.scatter(decode_jobs, |(p, d)| p.dense_decode_into(d, ctx));
     let deltas = &deltas[..n];
     cols.resize_with(plan.num_shards().max(1), Vec::new);
     for col in cols.iter_mut() {
@@ -964,18 +521,21 @@ fn rank_into<'s, P: ShardAccumulate>(
     Some(params)
 }
 
-/// Sharded [`norm_clipped_apply`] over recycled buffers: weights are
-/// screened before decode, norms are computed sequentially per delta (one
-/// full-vector `f64` sum each, exactly the sequential order), and only the
-/// final weighted accumulation + anchor add fan out shard-parallel.
+/// Sharded weighted mean over norm-clipped deltas: each usable update is
+/// decoded and scaled by `min(1, τ / ‖δ‖₂)` (a zero or non-finite norm
+/// leaves it unscaled — clipping bounds magnitudes, it cannot repair
+/// NaNs). Norms are computed sequentially per delta (one full-vector `f64`
+/// sum each); only the weighted accumulation and the anchor add fan out
+/// shard-parallel. Returns the new global and the clip count.
 fn norm_clipped_into<'s, P: ShardAccumulate>(
     updates: &[(&P, f64)],
+    total_w: f64,
     anchor: &[f32],
     tau: f64,
     ctx: &WireCtx,
     rt: &Runtime,
     scratch: &'s mut AggScratch,
-) -> AggregateRef<'s> {
+) -> (&'s [f32], usize) {
     scratch.plan(ctx, rt);
     let AggScratch {
         acc,
@@ -986,40 +546,20 @@ fn norm_clipped_into<'s, P: ShardAccumulate>(
         ..
     } = scratch;
     let plan = plan.as_ref().expect("plan ensured above");
-    let usable: Vec<(&P, f64)> = updates
-        .iter()
-        .filter(|(_, w)| w.is_finite() && *w > 0.0)
-        .map(|&(p, w)| (p, w))
-        .collect();
-    let total_w: f64 = usable.iter().map(|(_, w)| *w).sum();
-    if usable.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return AggregateRef {
-            params: None,
-            clipped: 0,
-        };
-    }
-    let m = usable.len();
+    let m = usable(updates).count();
     deltas.resize_with(m, Vec::new);
     for d in deltas.iter_mut() {
         d.resize(anchor.len(), 0.0);
     }
-    let decode_jobs: Vec<(&P, &mut Vec<f32>)> = usable
-        .iter()
-        .map(|(p, _)| *p)
+    let decode_jobs: Vec<(&P, &mut Vec<f32>)> = usable(updates)
+        .map(|(p, _)| p)
         .zip(deltas.iter_mut())
         .collect();
-    rt.scatter(decode_jobs, |(p, d)| {
-        assert_eq!(
-            p.vec_len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-        p.dense_decode_into(d, ctx);
-    });
+    rt.scatter(decode_jobs, |(p, d)| p.dense_decode_into(d, ctx));
     let deltas = &deltas[..m];
     let mut clipped = 0usize;
     weights.clear();
-    for ((_, w), delta) in usable.iter().zip(deltas.iter()) {
+    for ((_, w), delta) in usable(updates).zip(deltas.iter()) {
         let norm = delta
             .iter()
             .map(|&v| (v as f64) * (v as f64))
@@ -1031,7 +571,7 @@ fn norm_clipped_into<'s, P: ShardAccumulate>(
         } else {
             1.0
         };
-        weights.push((*w / total_w) * scale);
+        weights.push((w / total_w) * scale);
     }
     acc.resize(anchor.len(), 0.0);
     acc.fill(0.0);
@@ -1051,84 +591,201 @@ fn norm_clipped_into<'s, P: ShardAccumulate>(
             *o = (anchor[i] as f64 + acc[i]) as f32;
         }
     });
-    AggregateRef {
-        params: Some(params),
-        clipped,
-    }
+    (params, clipped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Straight-line `f64` reference for every rule: decode each payload
+    /// densely, then take the screened weighted mean, the trimmed mean, the
+    /// median, or the norm-clipped weighted mean of the deltas. Returns the
+    /// new global (`None` for a degenerate cohort) and the clip count.
+    fn reference(
+        rule: Aggregator,
+        updates: &[(&Payload, f64)],
+        anchor: &[f32],
+        ctx: &WireCtx,
+    ) -> (Option<Vec<f32>>, usize) {
+        let apply = |delta: Vec<f64>| -> Vec<f32> {
+            anchor
+                .iter()
+                .zip(delta)
+                .map(|(&a, d)| (a as f64 + d) as f32)
+                .collect()
+        };
+        let n = updates.len();
+        let rank = |reduce: &dyn Fn(&[f32]) -> f64| -> (Option<Vec<f32>>, usize) {
+            if n == 0 {
+                return (None, 0);
+            }
+            let deltas: Vec<Vec<f32>> = updates.iter().map(|(p, _)| p.decode(ctx)).collect();
+            let out = (0..anchor.len())
+                .map(|i| {
+                    let mut col: Vec<f32> = deltas.iter().map(|d| d[i]).collect();
+                    col.sort_unstable_by(|a, b| a.total_cmp(b));
+                    reduce(&col)
+                })
+                .collect();
+            (Some(apply(out)), 0)
+        };
+        let tau = match rule {
+            Aggregator::TrimmedMean { beta } => {
+                let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
+                return rank(&|col| {
+                    let kept = &col[t..n - t];
+                    kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
+                });
+            }
+            Aggregator::CoordinateMedian => {
+                return rank(&|col| {
+                    if n % 2 == 1 {
+                        col[n / 2] as f64
+                    } else {
+                        (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
+                    }
+                });
+            }
+            Aggregator::FedAvg => f64::INFINITY,
+            Aggregator::NormClipped { tau } => tau,
+        };
+        let kept: Vec<(Vec<f32>, f64)> = updates
+            .iter()
+            .filter(|(_, w)| w.is_finite() && *w > 0.0)
+            .map(|(p, w)| (p.decode(ctx), *w))
+            .collect();
+        let total: f64 = kept.iter().map(|(_, w)| *w).sum();
+        if kept.is_empty() || !total.is_finite() {
+            return (None, 0);
+        }
+        let mut acc = vec![0.0f64; anchor.len()];
+        let mut clipped = 0;
+        for (delta, w) in &kept {
+            let norm = delta
+                .iter()
+                .map(|&v| (v as f64) * (v as f64))
+                .sum::<f64>()
+                .sqrt();
+            let scale = if norm.is_finite() && norm > tau {
+                clipped += 1;
+                tau / norm
+            } else {
+                1.0
+            };
+            let wn = (w / total) * scale;
+            for (a, &d) in acc.iter_mut().zip(delta) {
+                *a += wn * d as f64;
+            }
+        }
+        (Some(apply(acc)), clipped)
+    }
+
+    /// [`Aggregator::aggregate_into`] on the sequential runtime with fresh
+    /// scratch, copied out.
+    fn agg(
+        rule: Aggregator,
+        updates: &[(&Payload, f64)],
+        anchor: &[f32],
+        ctx: &WireCtx,
+    ) -> (Option<Vec<f32>>, usize) {
+        let mut scratch = AggScratch::new();
+        let got = rule.aggregate_into(updates, anchor, ctx, &Runtime::sequential(), &mut scratch);
+        (got.params.map(<[f32]>::to_vec), got.clipped)
+    }
+
+    fn dense(values: &[f32]) -> Payload {
+        Payload::Dense {
+            values: values.to_vec(),
+        }
+    }
+
+    const RULES: [Aggregator; 4] = [
+        Aggregator::FedAvg,
+        Aggregator::TrimmedMean { beta: 0.2 },
+        Aggregator::CoordinateMedian,
+        Aggregator::NormClipped { tau: 0.5 },
+    ];
+
     #[test]
-    fn fedavg_weighted_mean() {
-        let got = fedavg(&[(vec![1.0, 0.0], 1.0), (vec![0.0, 1.0], 3.0)]);
+    fn payload_fedavg_weighted_mean() {
+        let ctx = WireCtx::dense(2);
+        let (a, b) = (dense(&[1.0, 0.0]), dense(&[0.0, 1.0]));
+        let got = agg(Aggregator::FedAvg, &[(&a, 1.0), (&b, 3.0)], &[0.0; 2], &ctx)
+            .0
+            .unwrap();
         assert!((got[0] - 0.25).abs() < 1e-6);
         assert!((got[1] - 0.75).abs() < 1e-6);
+        // Raw dataset sizes and normalized weights agree.
+        let (c, d) = (dense(&[2.0]), dense(&[4.0]));
+        let ctx = WireCtx::dense(1);
+        let raw = agg(Aggregator::FedAvg, &[(&c, 10.0), (&d, 30.0)], &[0.0], &ctx);
+        let norm = agg(Aggregator::FedAvg, &[(&c, 0.25), (&d, 0.75)], &[0.0], &ctx);
+        assert!((raw.0.unwrap()[0] - norm.0.unwrap()[0]).abs() < 1e-6);
     }
 
     #[test]
-    fn fedavg_unnormalized_weights_ok() {
-        let a = fedavg(&[(vec![2.0], 10.0), (vec![4.0], 30.0)]);
-        let b = fedavg(&[(vec![2.0], 0.25), (vec![4.0], 0.75)]);
-        assert!((a[0] - b[0]).abs() < 1e-6);
+    #[should_panic(expected = "payload length differs")]
+    fn payload_fedavg_rejects_ragged() {
+        let ctx = WireCtx::dense(1);
+        let (a, b) = (dense(&[1.0]), dense(&[1.0, 2.0]));
+        let _ = agg(Aggregator::FedAvg, &[(&a, 1.0), (&b, 1.0)], &[0.0], &ctx);
     }
 
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn fedavg_rejects_ragged() {
-        let _ = fedavg(&[(vec![1.0], 1.0), (vec![1.0, 2.0], 1.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one update")]
-    fn fedavg_rejects_empty() {
-        let _ = fedavg(&[]);
+    fn bn(mean: &[f32], var: &[f32]) -> Vec<BnStats> {
+        vec![BnStats {
+            mean: mean.to_vec(),
+            var: var.to_vec(),
+        }]
     }
 
     #[test]
     fn bn_aggregation_weighted() {
-        let a = vec![BnStats {
-            mean: vec![1.0, 2.0],
-            var: vec![1.0, 1.0],
-        }];
-        let b = vec![BnStats {
-            mean: vec![3.0, 4.0],
-            var: vec![3.0, 3.0],
-        }];
-        let got = aggregate_bn_stats(&[(a, 1.0), (b, 1.0)]);
+        let got = try_aggregate_bn_stats(&[
+            (bn(&[1.0, 2.0], &[1.0, 1.0]), 1.0),
+            (bn(&[3.0, 4.0], &[3.0, 3.0]), 1.0),
+        ])
+        .unwrap();
         assert_eq!(got[0].mean, vec![2.0, 3.0]);
         assert_eq!(got[0].var, vec![2.0, 2.0]);
+        // An unusable weight drops its statistics, NaNs included.
+        let got = try_aggregate_bn_stats(&[
+            (bn(&[2.0], &[2.0]), 4.0),
+            (bn(&[f32::NAN], &[f32::NAN]), 0.0),
+        ])
+        .unwrap();
+        assert_eq!((got[0].mean[0], got[0].var[0]), (2.0, 2.0));
     }
 
     #[test]
     fn bn_aggregation_respects_dataset_sizes() {
-        let a = vec![BnStats {
-            mean: vec![0.0],
-            var: vec![0.0],
-        }];
-        let b = vec![BnStats {
-            mean: vec![10.0],
-            var: vec![10.0],
-        }];
-        let got = aggregate_bn_stats(&[(a, 9.0), (b, 1.0)]);
+        let got = try_aggregate_bn_stats(&[(bn(&[0.0], &[0.0]), 9.0), (bn(&[10.0], &[10.0]), 1.0)])
+            .unwrap();
         assert!((got[0].mean[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn sim_empty_cohort_returns_previous_global_not_nan() {
         // The division hazard pinned: an empty surviving cohort or an
-        // all-zero weight vector must hand back the previous global intact,
-        // never a NaN-filled vector.
+        // all-zero weight vector keeps the previous global, never a
+        // NaN-filled vector.
+        let ctx = WireCtx::dense(3);
         let previous = vec![0.25f32, -1.5, 3.0];
-        assert_eq!(try_fedavg(&[]), None);
-        assert_eq!(try_fedavg(&[(vec![1.0, 1.0, 1.0], 0.0)]), None);
-        assert_eq!(fedavg_or_previous(&[], &previous), previous);
-        let got = fedavg_or_previous(&[(vec![9.0, 9.0, 9.0], 0.0)], &previous);
-        assert_eq!(got, previous);
-        assert!(got.iter().all(|v| v.is_finite()));
+        let p = dense(&[9.0, 9.0, 9.0]);
+        for rule in RULES {
+            assert_eq!(
+                agg(rule, &[], &previous, &ctx),
+                (None, 0),
+                "{}",
+                rule.name()
+            );
+        }
+        for rule in [Aggregator::FedAvg, Aggregator::NormClipped { tau: 1.0 }] {
+            let got = agg(rule, &[(&p, 0.0), (&p, f64::NAN)], &previous, &ctx);
+            assert_eq!(got, (None, 0), "{}", rule.name());
+        }
         assert_eq!(try_aggregate_bn_stats(&[]), None);
+        assert_eq!(try_aggregate_bn_stats(&[(Vec::new(), 0.0)]), None);
     }
 
     #[test]
@@ -1140,159 +797,102 @@ mod tests {
     }
 
     #[test]
-    fn payload_fedavg_degenerate_cohorts_return_none_or_current() {
-        let ctx = ft_sparse::WireCtx::dense(3);
-        let anchor = vec![1.0f32, -2.0, 0.5];
-        assert_eq!(try_fedavg_payloads(&[], &anchor, &ctx), None);
-        let p = Payload::Dense {
-            values: vec![9.0, 9.0, 9.0],
-        };
-        assert_eq!(try_fedavg_payloads(&[(&p, 0.0)], &anchor, &ctx), None);
-        assert_eq!(
-            staleness_fedavg_payloads(&[], &anchor, &ctx),
-            anchor.clone()
-        );
-        assert_eq!(
-            staleness_fedavg_payloads(&[(&p, 0.0, 3)], &anchor, &ctx),
-            anchor
-        );
-    }
-
-    fn dense(values: &[f32]) -> Payload {
-        Payload::Dense {
-            values: values.to_vec(),
-        }
-    }
-
-    #[test]
-    fn sim_staleness_nan_weight_does_not_void_honest_survivors() {
-        // The fixed hazard: one NaN-weighted (or inf-weighted) update used
-        // to make the *total* non-finite and silently void the whole
-        // buffer, returning `current` as if nobody had trained. Screened
-        // weights keep the honest survivors' round intact.
-        let ctx = ft_sparse::WireCtx::dense(2);
+    fn sim_unusable_weight_does_not_void_or_poison_honest_survivors() {
+        // One NaN-, infinite-, negative- or zero-weighted update (carrying a
+        // NaN delta) neither makes the total non-finite — voiding the
+        // honest survivors' round — nor adds `0 × NaN` into the global.
+        let ctx = WireCtx::dense(2);
         let current = vec![0.0f32, 0.0];
         let honest = dense(&[1.0, 1.0]);
-        let hostile = dense(&[9.0, 9.0]);
-        for bad_w in [f64::NAN, f64::INFINITY, -4.0, 0.0] {
-            let got = staleness_fedavg_payloads(
-                &[(&honest, 5.0, 0), (&hostile, bad_w, 0)],
-                &current,
-                &ctx,
-            );
-            assert_eq!(got, vec![1.0, 1.0], "bad weight {bad_w} voided the round");
+        let hostile = dense(&[f32::NAN, 9.0]);
+        for rule in [Aggregator::FedAvg, Aggregator::NormClipped { tau: 10.0 }] {
+            for bad_w in [f64::NAN, f64::INFINITY, -4.0, 0.0] {
+                let stale_w = 5.0 * staleness_weight(2);
+                let got = agg(
+                    rule,
+                    &[(&honest, stale_w), (&hostile, bad_w)],
+                    &current,
+                    &ctx,
+                );
+                assert_eq!(
+                    got,
+                    (Some(vec![1.0, 1.0]), 0),
+                    "{}: bad weight {bad_w}",
+                    rule.name()
+                );
+            }
         }
-    }
-
-    #[test]
-    fn sim_fully_quarantined_buffer_keeps_current_global() {
-        // Every buffered update carries an unusable weight (the whole
-        // cohort was quarantined mid-round): the fedavg_or_previous route
-        // hands back the current global, never a division by zero.
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let current = vec![3.0f32, -1.0];
-        let p = dense(&[9.0, 9.0]);
-        assert_eq!(
-            try_staleness_fedavg_payloads(&[(&p, 0.0, 1), (&p, f64::NAN, 0)], &current, &ctx),
-            None
-        );
-        assert_eq!(
-            staleness_fedavg_payloads(&[(&p, 0.0, 1), (&p, f64::NAN, 0)], &current, &ctx),
-            current
-        );
     }
 
     #[test]
     fn payload_trimmed_mean_outvotes_sign_flipped_outlier() {
         // Five honest devices push +1 per coordinate; one poisoned device
         // pushes a scaled sign-flip. One trim level removes it entirely.
-        let ctx = ft_sparse::WireCtx::dense(2);
+        let ctx = WireCtx::dense(2);
         let anchor = vec![0.0f32, 0.0];
         let honest = dense(&[1.0, 1.0]);
         let poison = dense(&[-80.0, -80.0]);
-        let updates: Vec<(&Payload, f64)> = vec![
-            (&honest, 1.0),
-            (&honest, 1.0),
-            (&honest, 1.0),
-            (&honest, 1.0),
-            (&honest, 1.0),
-            (&poison, 50.0), // inflated weight is irrelevant: rank-based
-        ];
-        let agg = Aggregator::TrimmedMean { beta: 0.2 };
-        let got = agg.aggregate(&updates, &anchor, &ctx).params.unwrap();
-        assert_eq!(got, vec![1.0, 1.0]);
+        let mut updates: Vec<(&Payload, f64)> = vec![(&honest, 1.0); 5];
+        updates.push((&poison, 50.0)); // inflated weight is irrelevant: rank-based
+        let got = agg(
+            Aggregator::TrimmedMean { beta: 0.2 },
+            &updates,
+            &anchor,
+            &ctx,
+        );
+        assert_eq!(got.0.unwrap(), vec![1.0, 1.0]);
         // Plain FedAvg on the same cohort is dragged far negative.
-        let avg = Aggregator::FedAvg
-            .aggregate(&updates, &anchor, &ctx)
-            .params
-            .unwrap();
+        let avg = agg(Aggregator::FedAvg, &updates, &anchor, &ctx).0.unwrap();
         assert!(avg[0] < -70.0, "fedavg should be poisoned, got {}", avg[0]);
     }
 
     #[test]
     fn payload_trimmed_mean_survives_adversarial_nans() {
-        let ctx = ft_sparse::WireCtx::dense(1);
-        let anchor = vec![0.0f32];
+        let ctx = WireCtx::dense(1);
         let honest = dense(&[2.0]);
         let nan = dense(&[f32::NAN]);
         let updates: Vec<(&Payload, f64)> =
             vec![(&honest, 1.0), (&honest, 1.0), (&honest, 1.0), (&nan, 1.0)];
-        let got = Aggregator::TrimmedMean { beta: 0.25 }
-            .aggregate(&updates, &anchor, &ctx)
-            .params
-            .unwrap();
-        assert_eq!(got, vec![2.0], "NaN must be trimmed at the tail");
+        let got = agg(
+            Aggregator::TrimmedMean { beta: 0.25 },
+            &updates,
+            &[0.0],
+            &ctx,
+        );
+        assert_eq!(got.0.unwrap(), vec![2.0], "NaN must be trimmed at the tail");
     }
 
     #[test]
     fn payload_median_even_cohort_averages_middles() {
-        let ctx = ft_sparse::WireCtx::dense(1);
-        let anchor = vec![10.0f32];
+        let ctx = WireCtx::dense(1);
         let payloads: Vec<Payload> = [1.0f32, 3.0, 5.0, 100.0]
             .iter()
             .map(|&v| dense(&[v]))
             .collect();
         let updates: Vec<(&Payload, f64)> = payloads.iter().map(|p| (p, 1.0)).collect();
-        let got = Aggregator::CoordinateMedian
-            .aggregate(&updates, &anchor, &ctx)
-            .params
-            .unwrap();
-        assert_eq!(got, vec![14.0]); // 10 + (3+5)/2
+        let got = agg(Aggregator::CoordinateMedian, &updates, &[10.0], &ctx);
+        assert_eq!(got.0.unwrap(), vec![14.0]); // 10 + (3+5)/2
     }
 
     #[test]
     fn payload_norm_clip_bounds_single_device_pull() {
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let anchor = vec![0.0f32, 0.0];
+        let ctx = WireCtx::dense(2);
         let honest = dense(&[0.5, 0.5]); // norm ~0.707: untouched at tau 1.0
         let poison = dense(&[600.0, 800.0]); // norm 1000: scaled to norm tau
         let updates: Vec<(&Payload, f64)> = vec![(&honest, 1.0), (&poison, 1.0)];
-        let out = Aggregator::NormClipped { tau: 1.0 }.aggregate(&updates, &anchor, &ctx);
-        assert_eq!(out.clipped, 1);
-        let got = out.params.unwrap();
+        let (got, clipped) = agg(
+            Aggregator::NormClipped { tau: 1.0 },
+            &updates,
+            &[0.0; 2],
+            &ctx,
+        );
+        assert_eq!(clipped, 1);
+        let got = got.unwrap();
         // Both deltas now have norm <= 1, so the mean has norm <= 1.
         let norm = (got[0] as f64).hypot(got[1] as f64);
         assert!(norm <= 1.0 + 1e-6, "clipped mean norm {norm}");
         // Poison rescales to [0.6, 0.8]; mean with honest [0.5, 0.5].
         assert!((got[0] - 0.55).abs() < 1e-6 && (got[1] - 0.65).abs() < 1e-6);
-    }
-
-    #[test]
-    fn payload_robust_rules_keep_previous_on_empty_cohort() {
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let anchor = vec![1.0f32, 2.0];
-        for agg in [
-            Aggregator::FedAvg,
-            Aggregator::TrimmedMean { beta: 0.2 },
-            Aggregator::CoordinateMedian,
-            Aggregator::NormClipped { tau: 1.0 },
-        ] {
-            let out = agg.aggregate(&[], &anchor, &ctx);
-            assert_eq!(out.params, None, "{}", agg.name());
-            assert_eq!(out.clipped, 0);
-            let stale = agg.aggregate_stale(&[], &anchor, &ctx);
-            assert_eq!(stale.params, None, "{} (stale)", agg.name());
-        }
     }
 
     #[test]
@@ -1340,25 +940,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_aggregate_into_matches_aggregate_bit_exactly() {
-        // The engine the barrier loop now runs must be the exact math it
-        // replaced, for every rule, shard count, and codec — golden traces
-        // depend on it. Scratch is reused across calls to also exercise the
-        // recycled-buffer path (stale contents must not leak through).
+    fn sharded_aggregate_into_matches_reference_bit_exactly() {
+        // The engine both scheduler loops run must be the reference math,
+        // bit for bit, for every rule, shard count, and codec — golden
+        // traces depend on it. Weights include staleness-discounted and
+        // unusable ones. Scratch is reused across calls to also exercise
+        // the recycled-buffer path (stale contents must not leak through).
         use ft_sparse::Codec;
         let n = 37; // awkward length: uneven shard splits
-        let mut ctx = ft_sparse::WireCtx::dense(n);
+        let mut ctx = WireCtx::dense(n);
         ctx.epoch = 5;
         for (i, a) in ctx.alive.iter_mut().enumerate() {
             *a = i % 3 != 1; // sparse mask for the MaskCsr/TopK codecs
         }
         let anchor: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
-        let rules = [
-            Aggregator::FedAvg,
-            Aggregator::TrimmedMean { beta: 0.2 },
-            Aggregator::CoordinateMedian,
-            Aggregator::NormClipped { tau: 0.5 },
-        ];
         for codec in [
             Codec::Dense,
             Codec::MaskCsr,
@@ -1368,7 +963,7 @@ mod tests {
                 error_feedback: false,
             },
         ] {
-            let payloads: Vec<Payload> = (0..5)
+            let payloads: Vec<Payload> = (0..6)
                 .map(|d| {
                     let delta: Vec<f32> = (0..n)
                         .map(|i| {
@@ -1383,28 +978,30 @@ mod tests {
                     codec.encode(&delta, &ctx, ctx.epoch, None)
                 })
                 .collect();
-            let updates: Vec<(&Payload, f64)> = payloads
-                .iter()
-                .enumerate()
-                .map(|(d, p)| (p, 1.0 + d as f64))
-                .collect();
-            for rule in rules {
-                let reference = rule.aggregate(&updates, &anchor, &ctx);
+            let weights = [
+                1.0,
+                2.0 * staleness_weight(1),
+                3.0,
+                4.0 * staleness_weight(3),
+                5.0,
+                0.0,
+            ];
+            let updates: Vec<(&Payload, f64)> = payloads.iter().zip(weights).collect();
+            for rule in RULES {
+                let (want, want_clipped) = reference(rule, &updates, &anchor, &ctx);
+                let want_bits: Option<Vec<u32>> =
+                    want.map(|p| p.iter().map(|v| v.to_bits()).collect());
                 for threads in [1usize, 3] {
                     let rt = Runtime::exact(threads);
                     let mut scratch = AggScratch::new();
                     for pass in 0..2 {
                         let got = rule.aggregate_into(&updates, &anchor, &ctx, &rt, &mut scratch);
-                        assert_eq!(got.clipped, reference.clipped);
+                        assert_eq!(got.clipped, want_clipped);
                         let got_bits: Option<Vec<u32>> =
                             got.params.map(|p| p.iter().map(|v| v.to_bits()).collect());
-                        let ref_bits: Option<Vec<u32>> = reference
-                            .params
-                            .as_ref()
-                            .map(|p| p.iter().map(|v| v.to_bits()).collect());
                         assert_eq!(
                             got_bits,
-                            ref_bits,
+                            want_bits,
                             "{} diverged ({codec:?}, {threads} threads, pass {pass})",
                             rule.name()
                         );
@@ -1416,42 +1013,23 @@ mod tests {
         // path too.
         let mut scratch = AggScratch::new();
         let rt = Runtime::sequential();
-        for rule in rules {
+        for rule in RULES {
             let got = rule.aggregate_into::<Payload>(&[], &anchor, &ctx, &rt, &mut scratch);
             assert_eq!(got.params, None, "{}", rule.name());
             assert_eq!(got.clipped, 0);
         }
     }
 
-    #[test]
-    fn payload_stale_fedavg_arm_matches_free_function_bit_exactly() {
-        // The buffered loop's FedAvg dispatch must be the exact function it
-        // replaced — golden traces depend on it.
-        let ctx = ft_sparse::WireCtx::dense(3);
-        let current = vec![0.5f32, -0.25, 2.0];
-        let a = dense(&[1.0, 2.0, 3.0]);
-        let b = dense(&[-1.0, 0.5, 0.0]);
-        let updates: Vec<(&Payload, f64, usize)> = vec![(&a, 12.0, 0), (&b, 5.0, 2)];
-        let via_enum = Aggregator::FedAvg
-            .aggregate_stale(&updates, &current, &ctx)
-            .params
-            .unwrap();
-        let direct = staleness_fedavg_payloads(&updates, &current, &ctx);
-        assert_eq!(
-            via_enum.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
     mod props {
         use super::super::*;
+        use super::{agg, dense, reference};
         use ft_sparse::Codec;
         use proptest::prelude::*;
 
-        /// Builds delta payloads for `params` against `anchor` under
-        /// `codec` and aggregates them, returning the payload-pipeline
-        /// global.
-        fn roundtrip_fedavg(raw: &[(Vec<f32>, f64)], anchor: &[f32], codec: Codec) -> Vec<f32> {
+        /// The global the payload pipeline produces from `raw` parameter
+        /// vectors: each is encoded under `codec` as a delta against
+        /// `anchor`, then aggregated with FedAvg.
+        fn via_deltas(raw: &[(Vec<f32>, f64)], anchor: &[f32], codec: Codec) -> Vec<f32> {
             let ctx = WireCtx::dense(anchor.len());
             let payloads: Vec<Payload> = raw
                 .iter()
@@ -1460,19 +1038,33 @@ mod tests {
                     codec.encode(&delta, &ctx, ctx.epoch, None)
                 })
                 .collect();
-            let updates: Vec<(&Payload, f64)> = payloads
-                .iter()
-                .zip(raw.iter())
-                .map(|(p, (_, w))| (p, *w))
-                .collect();
-            fedavg_payloads(&updates, anchor, &ctx)
+            let updates: Vec<(&Payload, f64)> =
+                payloads.iter().zip(raw.iter().map(|(_, w)| *w)).collect();
+            agg(Aggregator::FedAvg, &updates, anchor, &ctx).0.unwrap()
+        }
+
+        /// The reference weighted mean of the raw parameter vectors
+        /// themselves (a zero anchor, dense "deltas" equal to the params).
+        fn classic(raw: &[(Vec<f32>, f64)]) -> Vec<f32> {
+            let n = raw[0].0.len();
+            let payloads: Vec<Payload> = raw.iter().map(|(p, _)| dense(p)).collect();
+            let updates: Vec<(&Payload, f64)> =
+                payloads.iter().zip(raw.iter().map(|(_, w)| *w)).collect();
+            reference(
+                Aggregator::FedAvg,
+                &updates,
+                &vec![0.0; n],
+                &WireCtx::dense(n),
+            )
+            .0
+            .unwrap()
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Dense payload aggregation agrees with classic fedavg on the
-            /// decoded parameters to numerical tolerance.
+            /// Dense payload aggregation agrees with the weighted mean of
+            /// the decoded parameters to numerical tolerance.
             #[test]
             fn payload_dense_fedavg_matches_classic(
                 raw in proptest::collection::vec(
@@ -1481,18 +1073,18 @@ mod tests {
                 ),
                 anchor in proptest::collection::vec(-2.0f32..2.0, 6),
             ) {
-                let classic = fedavg(&raw);
-                let via_payloads = roundtrip_fedavg(&raw, &anchor, Codec::Dense);
+                let classic = classic(&raw);
+                let via_payloads = via_deltas(&raw, &anchor, Codec::Dense);
                 for (&a, &b) in classic.iter().zip(via_payloads.iter()) {
                     prop_assert!((a - b).abs() < 1e-5, "{a} vs {b}");
                 }
             }
 
             /// Quantized (int8) payload aggregation stays within the
-            /// accumulated quantization bound of dense fedavg: each delta's
-            /// error is at most half a step of its own range, and fedavg is
-            /// a convex combination, so the aggregate error is bounded by
-            /// the largest per-device bound.
+            /// accumulated quantization bound of the dense mean: each
+            /// delta's error is at most half a step of its own range, and
+            /// FedAvg is a convex combination, so the aggregate error is
+            /// bounded by the largest per-device bound.
             #[test]
             fn payload_quantized_fedavg_within_tolerance(
                 raw in proptest::collection::vec(
@@ -1501,8 +1093,8 @@ mod tests {
                 ),
                 anchor in proptest::collection::vec(-2.0f32..2.0, 6),
             ) {
-                let classic = fedavg(&raw);
-                let quantized = roundtrip_fedavg(&raw, &anchor, Codec::QuantInt8);
+                let classic = classic(&raw);
+                let quantized = via_deltas(&raw, &anchor, Codec::QuantInt8);
                 let worst_bound = raw
                     .iter()
                     .map(|(p, _)| {
@@ -1521,8 +1113,9 @@ mod tests {
                 }
             }
 
-            /// All-zero staleness makes staleness_fedavg exactly plain
-            /// fedavg, bit for bit.
+            /// All-zero staleness makes the staleness-discounted weights
+            /// exactly the sample weights, so the aggregate is plain
+            /// FedAvg, bit for bit.
             #[test]
             fn sim_zero_staleness_is_plain_fedavg(
                 raw in proptest::collection::vec(
@@ -1530,12 +1123,19 @@ mod tests {
                     1..6,
                 ),
             ) {
-                let stale: Vec<(&[f32], f64, usize)> = raw
-                    .iter()
-                    .map(|(p, w)| (p.as_slice(), *w, 0usize))
-                    .collect();
+                let ctx = WireCtx::dense(5);
                 let previous = vec![7.0f32; 5];
-                prop_assert_eq!(staleness_fedavg(&stale, &previous), fedavg(&raw));
+                let payloads: Vec<Payload> = raw.iter().map(|(p, _)| dense(p)).collect();
+                let plain: Vec<(&Payload, f64)> =
+                    payloads.iter().zip(raw.iter().map(|(_, w)| *w)).collect();
+                let stale: Vec<(&Payload, f64)> = payloads
+                    .iter()
+                    .zip(raw.iter().map(|(_, w)| w * staleness_weight(0)))
+                    .collect();
+                prop_assert_eq!(
+                    agg(Aggregator::FedAvg, &stale, &previous, &ctx),
+                    agg(Aggregator::FedAvg, &plain, &previous, &ctx)
+                );
             }
 
             /// Positive staleness never increases an update's weight, and
@@ -1548,12 +1148,16 @@ mod tests {
                     1..6,
                 ),
             ) {
-                let previous = vec![0.0f32; 4];
-                let views: Vec<(&[f32], f64, usize)> = raw
+                let ctx = WireCtx::dense(4);
+                let payloads: Vec<Payload> = raw.iter().map(|(p, _, _)| dense(p)).collect();
+                for (_, _, s) in &raw {
+                    prop_assert!(staleness_weight(*s) <= 1.0);
+                }
+                let updates: Vec<(&Payload, f64)> = payloads
                     .iter()
-                    .map(|(p, w, s)| (p.as_slice(), *w, *s))
+                    .zip(raw.iter().map(|(_, w, s)| w * staleness_weight(*s)))
                     .collect();
-                let got = staleness_fedavg(&views, &previous);
+                let got = agg(Aggregator::FedAvg, &updates, &[0.0; 4], &ctx).0.unwrap();
                 for i in 0..4 {
                     let lo = raw.iter().map(|(p, _, _)| p[i]).fold(f32::INFINITY, f32::min);
                     let hi = raw.iter().map(|(p, _, _)| p[i]).fold(f32::NEG_INFINITY, f32::max);

@@ -8,16 +8,17 @@
 //!   across `K` devices, and the shared [`FlConfig`].
 //! - [`local_train`] / [`train_devices_parallel`] — `E` epochs of (masked)
 //!   SGD per device, optionally fanned out over OS threads.
-//! - [`fedavg`] / [`aggregate_bn_stats`] — size-weighted averaging of flat
-//!   parameter vectors and of BatchNorm running statistics (Eqs. 4 and 7);
-//!   [`staleness_fedavg`] / [`fedavg_or_previous`] are the
-//!   straggler-tolerant variants the schedulers build on.
+//! - [`Aggregator::aggregate_into`] — the one aggregation entry point:
+//!   the sample-weighted average of encoded update deltas (Eq. 7), or a
+//!   robust rule ([`Aggregator`]), decoded-and-accumulated shard by shard
+//!   into recycled [`AggScratch`]. The buffered scheduler discounts each
+//!   weight by [`staleness_weight`]; a weight that is not finite and
+//!   positive drops its update. [`try_aggregate_bn_stats`] averages
+//!   BatchNorm running statistics under the same screen (Eq. 4).
 //! - The typed update pipeline: a [`DeviceUpdate`] carries an encoded
 //!   [`Payload`] (delta against the round anchor under the run's
-//!   [`Codec`]), [`fedavg_payloads`] / [`staleness_fedavg_payloads`]
-//!   decode-and-accumulate without materializing per-device dense vectors,
-//!   and the schedulers bill the `SimClock` and [`CostLedger`] with
-//!   *measured* `encoded_len()` bytes next to the analytic formulas.
+//!   [`Codec`]), and the schedulers bill the `SimClock` and [`CostLedger`]
+//!   with *measured* `encoded_len()` bytes next to the analytic formulas.
 //! - [`Scheduler`] — how the server closes rounds over the environment's
 //!   simulated [`DeviceProfile`] fleet: synchronous barrier, deadline cut,
 //!   or FedBuff-style buffered asynchrony, all on a virtual clock.
@@ -64,10 +65,7 @@ pub use adversary::{
     run_byzantine_tcp_device, run_churn_tcp_device, AdversarialTransport, Behavior,
 };
 pub use aggregate::{
-    aggregate_bn_stats, fedavg, fedavg_or_previous, fedavg_payloads, staleness_fedavg,
-    staleness_fedavg_payloads, staleness_weight, try_aggregate_bn_stats, try_fedavg,
-    try_fedavg_payloads, try_staleness_fedavg_payloads, AggScratch, AggregateOutcome, AggregateRef,
-    Aggregator, ShardAccumulate,
+    staleness_weight, try_aggregate_bn_stats, AggScratch, AggregateRef, Aggregator, ShardAccumulate,
 };
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSpec, CheckpointSummary};
 pub use config::{ConfigError, FlConfig, MAX_THREADS};

@@ -56,7 +56,8 @@ use crate::transport::{Delivery, InProcess, RoundRequest, Transport, TransportEr
 use ft_data::Dataset;
 use ft_metrics::{densities_from_mask, sparse_model_bytes, training_flops, SimClock};
 use ft_nn::{
-    apply_mask, flat_params, restore_snapshot, set_flat_params, take_snapshot, wire_ctx, Model,
+    apply_mask, flat_params, flat_params_into, restore_snapshot, set_flat_params, take_snapshot,
+    wire_ctx, Model,
 };
 use ft_sparse::{Codec, Mask, Payload, WireCtx};
 
@@ -351,7 +352,8 @@ struct ServerState<'e> {
     applied_mask: Mask,
     /// Recycled buffers of the sharded Aggregate phase: accumulators,
     /// produced params, robust-rule delta buffers, and the shard plan keyed
-    /// by mask epoch. Steady-state rounds aggregate without allocating.
+    /// by mask epoch, shared by both loops. Steady-state rounds aggregate
+    /// without allocating.
     agg_scratch: crate::aggregate::AggScratch,
     /// Timeline entries already pushed to the metrics hub (a cursor into
     /// `ledger.timeline()`); 0 on resume so the hub replays the resumed
@@ -966,6 +968,9 @@ impl ServerState<'_> {
         // arrival's timeline entry, flipped to applied once it aggregates.
         // Empty at every checkpoint boundary by construction.
         let mut buffer: Vec<BufferedArrival> = Vec::new();
+        // The current global's flat parameters, refilled at every
+        // aggregation into the same buffer.
+        let mut current: Vec<f32> = Vec::new();
 
         while self.round < env.cfg.rounds && events < max_events {
             events += 1;
@@ -1024,30 +1029,32 @@ impl ServerState<'_> {
 
             let mut aggregated = false;
             if buffer.len() >= k_needed {
-                // --- Aggregate: staleness-weighted payload aggregation
-                // over the buffered updates, decoded straight out of their
+                // --- Aggregate: the barrier loop's engine over the
+                // buffered updates, each weighted by its sample count
+                // discounted for staleness, decoded straight out of its
                 // wire form and applied to the *current* global.
-                let current = flat_params(&*global);
-                let param_updates: Vec<(&Payload, f64, usize)> = buffer
+                flat_params_into(&*global, &mut current);
+                let weight =
+                    |b: &BufferedArrival| b.update.samples as f64 * staleness_weight(b.staleness);
+                let param_updates: Vec<(&Payload, f64)> = buffer
                     .iter()
-                    .map(|b| (&b.update.payload, b.update.samples as f64, b.staleness))
+                    .map(|b| (&b.update.payload, weight(b)))
                     .collect();
-                let outcome = env
-                    .cfg
-                    .aggregator
-                    .aggregate_stale(&param_updates, &current, &ctx);
+                let outcome = env.cfg.aggregator.aggregate_into(
+                    &param_updates,
+                    &current,
+                    &ctx,
+                    &rt,
+                    &mut self.agg_scratch,
+                );
                 ledger.record_clipped(outcome.clipped);
-                // A fully-quarantined (all-zero-weight) buffer keeps the
-                // current global instead of dividing by zero.
-                set_flat_params(global, &outcome.params.unwrap_or(current));
+                // A buffer without usable weight keeps the current global.
+                if let Some(new_params) = outcome.params {
+                    set_flat_params(global, new_params);
+                }
                 let bn_updates: Vec<_> = buffer
                     .iter()
-                    .map(|b| {
-                        (
-                            b.update.bn.clone(),
-                            b.update.samples as f64 * staleness_weight(b.staleness),
-                        )
-                    })
+                    .map(|b| (b.update.bn.clone(), weight(b)))
                     .collect();
                 if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
                     for (dst, src) in global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
@@ -1430,6 +1437,91 @@ mod tests {
                 "{scheduler:?}: round walls {total} vs device walls {devices}"
             );
         }
+    }
+
+    /// [`InProcess`], with the first cohort member's delivery replaced:
+    /// either a zero-sample claim carrying NaN in every parameter delta and
+    /// BN statistic, or (the honest-only twin) a quarantine.
+    struct ZeroWeightPoison {
+        poison: bool,
+    }
+    impl Transport for ZeroWeightPoison {
+        fn name(&self) -> &'static str {
+            "zero_weight_poison"
+        }
+        fn is_local(&self) -> bool {
+            true
+        }
+        fn exchange_round(
+            &mut self,
+            req: &mut RoundRequest<'_>,
+        ) -> Result<Vec<Delivery>, TransportError> {
+            let mut out = InProcess.exchange_round(req)?;
+            out[0] = match (self.poison, out.swap_remove(0)) {
+                (true, Delivery::Update(mut u)) => {
+                    u.samples = 0;
+                    u.payload = Payload::Dense {
+                        values: vec![f32::NAN; u.payload.len()],
+                    };
+                    for s in &mut u.bn {
+                        s.mean.fill(f32::NAN);
+                        s.var.fill(f32::NAN);
+                    }
+                    Delivery::Update(u)
+                }
+                _ => Delivery::Faulted(crate::transport::FaultKind::Disconnected(
+                    "honest-only twin".into(),
+                )),
+            };
+            Ok(out)
+        }
+        fn deliver_update(&mut self, u: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
+            u
+        }
+    }
+
+    /// A barrier-loop survivor that claims zero samples carries no weight,
+    /// so its NaN payload and NaN BN statistics must not reach the global:
+    /// the FedAvg result equals the honest-only average, bit for bit.
+    #[test]
+    fn sim_zero_sample_nan_survivor_cannot_poison_fedavg() {
+        let run = |poison: bool| {
+            let env = ExperimentEnv::tiny_for_tests(9);
+            let mut model = env.build_model(&ModelSpec::small_cnn_test());
+            let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+            let mut ledger = CostLedger::new();
+            let mut transport = ZeroWeightPoison { poison };
+            run_with(
+                model.as_mut(),
+                &mut mask,
+                &env,
+                0,
+                &mut ledger,
+                &mut no_hook(),
+                RunOptions::new(&mut transport),
+            )
+            .expect("run completes");
+            let bn: Vec<u32> = model
+                .bn_stats()
+                .iter()
+                .flat_map(|s| s.mean.iter().chain(s.var.iter()))
+                .map(|v| v.to_bits())
+                .collect();
+            (flat_params(model.as_ref()), bn)
+        };
+        let (params, bn) = run(true);
+        assert!(
+            params.iter().all(|v| v.is_finite()),
+            "global params hold NaN"
+        );
+        assert!(
+            bn.iter().all(|&b| f32::from_bits(b).is_finite()),
+            "global BN statistics hold NaN"
+        );
+        let (honest_params, honest_bn) = run(false);
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&params), bits(&honest_params));
+        assert_eq!(bn, honest_bn);
     }
 
     #[test]

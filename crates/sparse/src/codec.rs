@@ -678,20 +678,6 @@ impl Payload {
         self.for_each_coord(ctx, |i, v| out[i] = v);
     }
 
-    /// Adds `weight · value` into `acc` for every transmitted coordinate —
-    /// the decode-free accumulation primitive `fedavg_payloads` builds on
-    /// (no per-device dense vector is ever materialized for sparse
-    /// payloads).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`decode`](Self::decode), plus an `acc` length
-    /// mismatch.
-    pub fn accumulate_into(&self, weight: f64, acc: &mut [f64], ctx: &WireCtx) {
-        assert_eq!(acc.len(), self.len(), "accumulator length mismatch");
-        self.for_each_coord(ctx, |i, v| acc[i] += weight * v as f64);
-    }
-
     /// Visits every transmitted `(flat coordinate, value)` pair.
     fn for_each_coord(&self, ctx: &WireCtx, mut f: impl FnMut(usize, f32)) {
         match self {
@@ -751,12 +737,13 @@ impl Payload {
     }
 
     /// Adds `weight · value` into `acc` for every transmitted coordinate
-    /// inside `plan`'s shard `s` — the per-shard half of the sharded
-    /// aggregation path. `acc` is the accumulator *slice for that shard
-    /// only* (`acc.len() == plan.range(s).len()`, indexed relative to the
-    /// shard start). Per coordinate the visit order equals
-    /// [`accumulate_into`](Self::accumulate_into)'s, so summing a payload
-    /// shard-by-shard over a full plan is bit-identical to one full pass.
+    /// inside `plan`'s shard `s` — the decode-free accumulation primitive
+    /// of the sharded aggregation engine (no per-device dense vector is
+    /// ever materialized for sparse payloads). `acc` is the accumulator
+    /// *slice for that shard only* (`acc.len() == plan.range(s).len()`,
+    /// indexed relative to the shard start). Each coordinate receives
+    /// exactly `weight · decode(ctx)[i]`, so summing a payload shard by
+    /// shard over a full plan is bit-identical for any shard count.
     ///
     /// # Panics
     ///
@@ -858,8 +845,7 @@ impl Payload {
 ///
 /// This is the steady-state decode path of the Collect dataplane: frames
 /// land in a pooled receive buffer, `parse` validates them in place, and
-/// [`accumulate_into`](Self::accumulate_into) /
-/// [`accumulate_shard_into`](Self::accumulate_shard_into) fold them into a
+/// [`accumulate_shard_into`](Self::accumulate_shard_into) folds them into a
 /// reusable `f64` accumulator without materializing an owned [`Payload`].
 /// Anything `parse` accepts can be materialized with
 /// [`to_payload`](Self::to_payload) — [`Payload::from_bytes`] is exactly
@@ -1127,24 +1113,11 @@ impl<'a> PayloadView<'a> {
         self.for_each_coord(ctx, |i, v| out[i] = v);
     }
 
-    /// Adds `weight · value` into `acc` for every transmitted coordinate,
-    /// reading values straight out of the receive buffer — bit-identical to
-    /// [`Payload::accumulate_into`] on the materialized payload (per
-    /// coordinate, the same `f32` values arrive in the same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `acc` length mismatch or a context other than the one the
-    /// view was parsed against.
-    pub fn accumulate_into(&self, weight: f64, acc: &mut [f64], ctx: &WireCtx) {
-        assert_eq!(acc.len(), self.len(), "accumulator length mismatch");
-        self.for_each_coord(ctx, |i, v| acc[i] += weight * v as f64);
-    }
-
-    /// The shard-restricted sibling of [`accumulate_into`](Self::accumulate_into):
-    /// adds `weight · value` for the coordinates of `plan`'s shard `s` into
-    /// the shard's accumulator slice. See [`Payload::accumulate_shard_into`]
-    /// for the contract.
+    /// Adds `weight · value` for the coordinates of `plan`'s shard `s` into
+    /// the shard's accumulator slice, reading values straight out of the
+    /// receive buffer — bit-identical to [`Payload::accumulate_shard_into`]
+    /// on the materialized payload (per coordinate, the same `f32` values
+    /// arrive in the same order). See that method for the contract.
     ///
     /// # Panics
     ///
@@ -1773,6 +1746,25 @@ mod tests {
             })
     }
 
+    /// A plan over `ctx` split into `num_shards` near-equal contiguous
+    /// ranges (some empty when `num_shards` exceeds the length).
+    fn even_plan(ctx: &WireCtx, num_shards: usize) -> ShardPlan {
+        let n = ctx.len();
+        ShardPlan::build(
+            ctx,
+            (0..num_shards)
+                .map(|s| (s * n / num_shards)..((s + 1) * n / num_shards))
+                .collect(),
+        )
+    }
+
+    /// Calls `f(shard slice of acc, s)` for every shard of `plan`.
+    fn each_shard(plan: &ShardPlan, acc: &mut [f64], mut f: impl FnMut(&mut [f64], usize)) {
+        for s in 0..plan.num_shards() {
+            f(&mut acc[plan.range(s)], s);
+        }
+    }
+
     #[test]
     fn codec_from_bytes_rejects_garbage_without_panicking() {
         let ctx = striped_ctx(2);
@@ -1938,7 +1930,8 @@ mod tests {
             }
         }
 
-        /// Weighted accumulation is elementwise `weight · decode`.
+        /// Weighted accumulation is elementwise `weight · decode`, over a
+        /// one-shard and a multi-shard plan.
         #[test]
         fn codec_accumulate_matches_decode(
             (ctx, values) in arb_ctx(),
@@ -1947,10 +1940,13 @@ mod tests {
         ) {
             let p = codec.encode(&values, &ctx, ctx.epoch, Some(&mut Vec::new()));
             let dec = p.decode(&ctx);
-            let mut acc = vec![0.0f64; ctx.len()];
-            p.accumulate_into(weight, &mut acc, &ctx);
-            for (&a, &d) in acc.iter().zip(dec.iter()) {
-                prop_assert!((a - weight * d as f64).abs() < 1e-9);
+            for num_shards in [1, 3] {
+                let mut acc = vec![0.0f64; ctx.len()];
+                let plan = even_plan(&ctx, num_shards);
+                each_shard(&plan, &mut acc, |a, s| p.accumulate_shard_into(weight, a, &ctx, &plan, s));
+                for (&a, &d) in acc.iter().zip(dec.iter()) {
+                    prop_assert_eq!(a, weight * d as f64);
+                }
             }
         }
 
@@ -2004,10 +2000,11 @@ mod tests {
             prop_assert_eq!(view.codec_name(), owned.codec_name());
             prop_assert_eq!(view.len(), owned.len());
 
+            let plan = even_plan(&ctx, 1);
             let mut acc_owned = vec![0.25f64; ctx.len()];
             let mut acc_view = vec![0.25f64; ctx.len()];
-            owned.accumulate_into(weight, &mut acc_owned, &ctx);
-            view.accumulate_into(weight, &mut acc_view, &ctx);
+            owned.accumulate_shard_into(weight, &mut acc_owned, &ctx, &plan, 0);
+            view.accumulate_shard_into(weight, &mut acc_view, &ctx, &plan, 0);
             for (a, b) in acc_owned.iter().zip(acc_view.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -2050,9 +2047,10 @@ mod tests {
         }
 
         /// Shard-by-shard accumulation over a `ShardPlan` is bit-identical
-        /// to one full sequential pass — for any shard count, for both the
-        /// owned payload and the borrowed view. This is the determinism
-        /// contract the sharded Collect dataplane rests on.
+        /// to adding `weight · decode` coordinate by coordinate — for any
+        /// shard count, for both the owned payload and the borrowed view.
+        /// This is the determinism contract the sharded Collect dataplane
+        /// rests on.
         #[test]
         fn codec_shard_accumulate_bit_identical_to_full(
             (ctx, values) in arb_ctx(),
@@ -2066,23 +2064,20 @@ mod tests {
             let bytes = p.to_bytes(&ctx);
             let view = PayloadView::parse(&bytes, &ctx).expect("valid frame");
 
-            let n = ctx.len();
-            let ranges: Vec<_> = (0..num_shards)
-                .map(|s| (s * n / num_shards)..((s + 1) * n / num_shards))
-                .collect();
-            let plan = ShardPlan::build(&ctx, ranges);
+            let plan = even_plan(&ctx, num_shards);
             prop_assert!(plan.matches(&ctx, num_shards));
 
-            let mut full = vec![0.5f64; n];
-            p.accumulate_into(weight, &mut full, &ctx);
+            let full: Vec<f64> = p.decode(&ctx).iter().map(|&d| 0.5 + weight * d as f64).collect();
 
+            let n = ctx.len();
             let mut sharded_owned = vec![0.5f64; n];
             let mut sharded_view = vec![0.5f64; n];
-            for s in 0..plan.num_shards() {
-                let r = plan.range(s);
-                p.accumulate_shard_into(weight, &mut sharded_owned[r.clone()], &ctx, &plan, s);
-                view.accumulate_shard_into(weight, &mut sharded_view[r], &ctx, &plan, s);
-            }
+            each_shard(&plan, &mut sharded_owned, |a, s| {
+                p.accumulate_shard_into(weight, a, &ctx, &plan, s)
+            });
+            each_shard(&plan, &mut sharded_view, |a, s| {
+                view.accumulate_shard_into(weight, a, &ctx, &plan, s)
+            });
             for ((a, b), c) in full.iter().zip(sharded_owned.iter()).zip(sharded_view.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
                 prop_assert_eq!(a.to_bits(), c.to_bits());

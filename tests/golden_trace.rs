@@ -9,7 +9,10 @@
 //! - `tests/golden/deadline_maskcsr_trace.txt` — a `Deadline` run on the
 //!   same fleet under `MaskCsr` with a half-pruned first layer, so the
 //!   values-only sparse upload path (and its byte accounting) is pinned
-//!   bit-for-bit.
+//!   bit-for-bit;
+//! - `tests/golden/buffered_trace.txt` — a `Buffered { buffer_k: 2 }` run on
+//!   the same fleet whose aggregations fold in stale updates, so the
+//!   staleness-discounted FedAvg of the event loop is pinned bit-for-bit.
 //!
 //! Any refactor of the round loop, the aggregation path, the RNG
 //! derivation, the time model, or the codecs that changes observable
@@ -35,6 +38,10 @@ const SYNCHRONOUS_PATH: &str = concat!(
 const DEADLINE_MASKCSR_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/deadline_maskcsr_trace.txt"
+);
+const BUFFERED_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/buffered_trace.txt"
 );
 
 /// Renders one run's trace: one line per round with accuracy, simulated
@@ -146,6 +153,48 @@ fn deadline_maskcsr_trace() -> String {
     )
 }
 
+fn buffered_trace() -> String {
+    let mut env = ExperimentEnv::tiny_for_tests(42);
+    env.fleet = DeviceProfile::fleet_mixed(env.num_devices());
+    env.scheduler = Scheduler::Buffered { buffer_k: 2 };
+    env.cfg.rounds = 6;
+    let mut model = env.build_model(&ModelSpec::small_cnn_test());
+    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+    let mut ledger = CostLedger::new();
+    let history = run_federated_rounds(
+        model.as_mut(),
+        &mut mask,
+        &env,
+        1,
+        &mut ledger,
+        &mut no_hook(),
+    );
+    // The trace only pins the staleness discount if some aggregation
+    // actually folded in a stale update.
+    assert!(
+        ledger
+            .timeline()
+            .iter()
+            .any(|e| e.applied && e.staleness > 0),
+        "buffered golden scenario applied no stale update"
+    );
+    let mut out = render_trace(
+        "# Golden trace: Buffered(k = 2) scheduler, mixed fleet, tiny env (seed 42),\n\
+         # 6 rounds, small_cnn_test, Dense codec, eval_every = 1. Stale updates\n\
+         # are discounted by 1/sqrt(1 + staleness).\n\
+         # Regenerate: FT_BLESS=1 cargo test --test golden_trace\n",
+        &history,
+        &ledger,
+    );
+    for e in ledger.timeline() {
+        out.push_str(&format!(
+            "event device={} round={} staleness={} applied={}\n",
+            e.device, e.round, e.staleness, e.applied
+        ));
+    }
+    out
+}
+
 #[test]
 fn sim_golden_trace_synchronous_matches_committed() {
     compare_or_bless(SYNCHRONOUS_PATH, &synchronous_trace());
@@ -194,6 +243,11 @@ fn sim_golden_trace_synchronous_identical_over_byte_boundary() {
 #[test]
 fn sim_golden_trace_deadline_maskcsr_matches_committed() {
     compare_or_bless(DEADLINE_MASKCSR_PATH, &deadline_maskcsr_trace());
+}
+
+#[test]
+fn sim_golden_trace_buffered_matches_committed() {
+    compare_or_bless(BUFFERED_PATH, &buffered_trace());
 }
 
 /// The same scenario is bit-identical across parallel and sequential device
